@@ -245,15 +245,21 @@ class SimWorkerPool:
             )
 
         cm = self.cost_model
-        trace = TraceRecorder(self.n_workers, self.record_spans)
+        n = self.n_workers
+        trace = TraceRecorder(n, self.record_spans)
         events = EventQueue()
-        queues: list[WorkQueue] = [
-            WorkQueue(self.policy) for _ in range(self.n_workers)
-        ]
+        queues: list[WorkQueue] = [WorkQueue(self.policy) for _ in range(n)]
+        # Workers whose ready queue holds a task, kept in step with every
+        # push, pop and steal: an idle worker's steal scan reads it instead
+        # of probing each victim queue in turn.
+        stocked: set[int] = set()
         # Workers not currently executing or spawning.  Sorted wake order is
         # enforced by scanning worker ids, which is deterministic.
-        idle: set[int] = set(range(self.n_workers))
+        idle: set[int] = set(range(n))
         idle.discard(spawn_worker)
+        # Per-worker costs that do not depend on the task, scaled once.
+        schedule_ns = [self._scale(cm.task_schedule_ns, w) for w in range(n)]
+        probe_ns = [self._scale(cm.steal_attempt_ns, w) for w in range(n)]
 
         for task in task_list:
             if task.state != _CREATED:
@@ -274,33 +280,43 @@ class SimWorkerPool:
         remaining = len(task_list)
         makespan = 0
 
-        def acquire(worker: int, now: int) -> tuple[SimTask | None, int]:
-            """Try to obtain a task for *worker*; returns (task, overhead)."""
-            overhead = 0
+        def acquire(worker: int) -> tuple[SimTask | None, int]:
+            """Try to obtain a task for *worker*; returns (task, overhead).
+
+            The steal scan probes victims in a deterministic rotation
+            starting at worker+1 and charges one probe per victim up to and
+            including the first one holding a task (all ``n - 1`` when none
+            does).  Empty victims are skipped in bulk: the first stocked
+            victim in rotation order is the one a probe-by-probe scan would
+            reach, so overheads and steal counters are those of the scan.
+            """
             q = queues[worker]
-            if len(q):
+            if worker in stocked:
                 task = q.pop_local()
-                overhead += self._scale(cm.task_schedule_ns, worker)
-                return task, overhead
-            # Steal scan: deterministic rotation starting at worker+1.
-            for step in range(1, self.n_workers):
-                victim = (worker + step) % self.n_workers
-                overhead += self._scale(cm.steal_attempt_ns, worker)
-                vq = queues[victim]
-                if len(vq):
-                    stolen = vq.steal()
-                    # Migration cost per stolen task; extras land on the
-                    # thief's own queue (Cilk-style steal-half).
-                    overhead += self._scale(
-                        cm.steal_success_ns * len(stolen) + cm.task_schedule_ns,
-                        worker,
-                    )
-                    for extra in stolen[1:]:
-                        q.push(extra)
-                    trace.add_steal(worker, True)
-                    return stolen[0], overhead
-                trace.add_steal(worker, False)
-            return None, overhead
+                if not q:
+                    stocked.discard(worker)
+                return task, schedule_ns[worker]
+            if not stocked:
+                trace.add_steal(worker, False, attempts=n - 1)
+                return None, probe_ns[worker] * (n - 1)
+            step = min((v - worker) % n for v in stocked)
+            victim = (worker + step) % n
+            vq = queues[victim]
+            stolen = vq.steal()
+            if not vq:
+                stocked.discard(victim)
+            # Migration cost per stolen task; extras land on the thief's
+            # own queue (Cilk-style steal-half).
+            overhead = probe_ns[worker] * step + self._scale(
+                cm.steal_success_ns * len(stolen) + cm.task_schedule_ns,
+                worker,
+            )
+            if len(stolen) > 1:
+                for extra in stolen[1:]:
+                    q.push(extra)
+                stocked.add(worker)
+            trace.add_steal(worker, True, attempts=step)
+            return stolen[0], overhead
 
         def dispatch(worker: int, task: SimTask, now: int, overhead: int) -> None:
             """Start *task* on *worker* at *now* after *overhead* ns."""
@@ -327,7 +343,7 @@ class SimWorkerPool:
 
         def seek_work(worker: int, now: int) -> None:
             """Worker looks for its next task or goes idle."""
-            task, overhead = acquire(worker, now)
+            task, overhead = acquire(worker)
             if task is not None:
                 dispatch(worker, task, now, overhead)
             else:
@@ -338,6 +354,7 @@ class SimWorkerPool:
             """Queue a ready task and wake an idle worker if any."""
             task.state = _READY
             queues[home].push(task)
+            stocked.add(home)
             if not idle:
                 return
             # Prefer the queue's owner, then the lowest idle worker id.

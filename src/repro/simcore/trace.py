@@ -108,9 +108,13 @@ class TraceRecorder:
                 TaskSpan(worker, task_id, tag, start_ns, end_ns, parents)
             )
 
-    def add_steal(self, worker: int, success: bool) -> None:
-        """Record a steal attempt by *worker*."""
-        self.workers[worker].steal_attempts += 1
+    def add_steal(self, worker: int, success: bool, attempts: int = 1) -> None:
+        """Record *attempts* victim probes by *worker*.
+
+        The last probe is the successful one when *success*; the pool
+        records a whole steal scan with one call.
+        """
+        self.workers[worker].steal_attempts += attempts
         if success:
             self.workers[worker].steals += 1
 
