@@ -188,11 +188,6 @@ class CampaignScheduler:
         self.drain(timeout)
         return records
 
-    def records(self) -> list[JobRecord]:
-        """All job records, ordered by job id."""
-        with self._lock:
-            return [self._records[k] for k in sorted(self._records)]
-
     def close(self) -> None:
         """Stop the lanes and tear down every warm executor.  Idempotent."""
         with self._lock:
@@ -345,6 +340,9 @@ class CampaignScheduler:
             else:
                 self.stats.failed += 1
             self._open_jobs -= 1
+            # The caller keeps its record; the scheduler forgets the job.
+            self._records.pop(record.job_id, None)
+            self._cancel_events.pop(record.job_id, None)
             if self._started_ns is not None:
                 self.stats.wall_ns = time.perf_counter_ns() - self._started_ns
             self._lock.notify_all()

@@ -195,6 +195,20 @@ class TestCancellation:
             assert not sched.cancel("job-99999")
 
 
+class TestForgetsFinishedJobs:
+    def test_campaign_leaves_no_job_state_behind(self, cache):
+        # Timing-only jobs over four shapes: computed, then cache hits.
+        specs = [JobSpec(s=4 + k % 4, i=1, threads=2) for k in range(100)]
+        with CampaignScheduler(cache=cache) as sched:
+            records = sched.run_campaign(specs)
+            assert all(r.status == "completed" for r in records)
+            assert sched._records == {}
+            assert sched._cancel_events == {}
+            assert not sched.cancel(records[0].job_id)
+            assert not sched.cancel(records[-1].job_id)
+        assert cache.stats.hits == 96
+
+
 class TestObservability:
     def test_flight_events_cover_the_lifecycle(self, cache):
         flight = FlightRecorder()
