@@ -74,19 +74,16 @@ def _time_sim_arm(nx):
     return wall, program.domain.origin_energy(), program.domain.cycle
 
 
-def _time_process_arm(nx, workers, dispatch="wave"):
+def _time_process_arm(nx, workers):
     """Steady-state per-cycle wall clock of the process backend.
 
-    ``utilization`` is the critical-path-utilization metric of the
-    dispatch comparison: measured busy time summed over every spec,
-    divided by makespan x workers — the fraction of the pool's wall-clock
-    capacity actually spent computing (the rest is barrier slack,
-    messaging, and serial sections).
+    ``utilization`` is measured busy time summed over every spec, divided
+    by makespan x workers — the fraction of the pool's wall-clock capacity
+    actually spent computing (the rest is barrier slack, messaging, and
+    serial sections).
     """
     program = _program(nx)
-    with ParallelHpxBackend(
-        program, workers=workers, dispatch=dispatch
-    ) as backend:
+    with ParallelHpxBackend(program, workers=workers) as backend:
         backend.run(1 + WARMUP)  # serial capture + warm parallel cycles
         assert backend.stats.parallel_cycles == WARMUP
         busy0 = backend.stats.busy_ns
@@ -103,15 +100,6 @@ def _time_process_arm(nx, workers, dispatch="wave"):
             "shm_bytes": stats.shm_bytes,
             "utilization": (stats.busy_ns - busy0) / (total_wall * workers),
         }
-        if dispatch == "dataflow":
-            df = backend.dataflow_stats
-            result["dataflow"] = {
-                "tasks_streamed": df.tasks_streamed,
-                "steals": df.steals,
-                "requeues": df.requeues,
-                "max_ready": df.max_ready,
-                "window": df.window,
-            }
     return result, program.domain.origin_energy(), program.domain.cycle
 
 
@@ -168,45 +156,6 @@ class TestProcessBackendWallclock:
             # the sweep still ran and proved bit-identity; record why the
             # scaling assertion cannot hold here
             assert headline > 0
-
-    def test_dispatch_comparison(self):
-        """Wave vs dataflow dispatch at 4 workers (the barrier-slack bet).
-
-        Dataflow dispatch exists to recover the join slack of the wave
-        schedule, so its steady-state cycle should be no slower than
-        wave's wherever the host can actually run 4 workers in parallel;
-        on smaller hosts the comparison still lands in the artifact
-        (``cpu_limited`` flags why the assertion is vacuous there) and
-        the physics-identity check holds regardless.
-        """
-        workers = max(WORKER_COUNTS)
-        results = {}
-        for nx in SIZES:
-            arms = {}
-            energies = {}
-            for dispatch in ("wave", "dataflow"):
-                arm, energy, _cycle = _time_process_arm(
-                    nx, workers, dispatch=dispatch
-                )
-                arms[dispatch] = arm
-                energies[dispatch] = energy
-            assert energies["wave"] == energies["dataflow"], (
-                f"s={nx}: dispatch mode changed the physics "
-                f"({energies['dataflow']!r} != {energies['wave']!r})"
-            )
-            arms["speedup_dataflow_vs_wave"] = (
-                arms["wave"]["wall_ns"] / arms["dataflow"]["wall_ns"]
-            )
-            arms["origin_energy"] = energies["wave"]
-            results[f"s{nx}"] = arms
-        _merge_results("dispatch_comparison", results)
-
-        if (os.cpu_count() or 1) >= workers:
-            headline = results[f"s{max(SIZES)}"]["speedup_dataflow_vs_wave"]
-            assert headline >= 1.0, (
-                f"dataflow dispatch was {headline:.3f}x wave at "
-                f"s={max(SIZES)}; the barrier-slack recovery must not lose"
-            )
 
     def test_fallback_cycles_are_bounded(self):
         """Steady state means exactly one serial (capture) cycle."""

@@ -219,7 +219,6 @@ def run_hpx(
     backend: str = "sim",
     backend_workers: int | None = None,
     supervision=None,
-    dispatch: str = "wave",
 ) -> RunResult:
     """Run the paper's task-based LULESH.
 
@@ -251,9 +250,7 @@ def run_hpx(
     :class:`~repro.parallel.supervisor.SupervisionConfig`) tunes the
     backend's self-healing — watchdog deadline, respawn budget, and
     whether budget exhaustion degrades to the serial path or fails the
-    run.  *dispatch* selects how warm cycles drive the pool: ``"wave"``
-    (level-synchronous, full join per wave) or ``"dataflow"``
-    (dependency-driven streaming with steal-on-idle; same bits out).
+    run.
     """
     if backend not in ("sim", "process"):
         raise ValueError(f"backend must be 'sim' or 'process', got {backend!r}")
@@ -262,12 +259,6 @@ def run_hpx(
             "the process backend executes real kernels and requires "
             "execute mode"
         )
-    if dispatch not in ("wave", "dataflow"):
-        raise ValueError(
-            f"dispatch must be 'wave' or 'dataflow', got {dispatch!r}"
-        )
-    if dispatch != "wave" and backend != "process":
-        raise ValueError("dispatch selection requires backend='process'")
     machine = machine or MachineConfig()
     cost_model = cost_model or CostModel()
     variant = variant or HpxVariant.full()
@@ -331,16 +322,11 @@ def run_hpx(
             program, workers=backend_workers or 2,
             flight_recorder=flight_recorder,
             supervision=supervision,
-            dispatch=dispatch,
         )
         if registry is not None:
             install_parallel_counters(
                 registry, backend_obj.stats,
                 supervision=backend_obj.supervisor.stats,
-                dataflow=(
-                    backend_obj.dataflow_stats
-                    if dispatch == "dataflow" else None
-                ),
             )
     try:
         _execute_program(backend_obj or program, domain, iterations, resilience)

@@ -117,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process (default: 2)",
     )
     parser.add_argument(
-        "--dispatch",
-        choices=("wave", "dataflow"),
-        default="wave",
-        help="how --backend process drives its workers: 'wave' joins the "
-             "pool at every schedule level; 'dataflow' streams individual "
-             "tasks as their dependencies retire, with steal-on-idle "
-             "rebalancing (default: wave)",
-    )
-    parser.add_argument(
         "--worker-timeout",
         type=float,
         default=None,
@@ -622,8 +613,6 @@ def _single_run(args: argparse.Namespace) -> int:
     if args.workers is not None and args.backend != "process":
         raise SystemExit("--workers applies to --backend process only")
     if args.backend != "process":
-        if args.dispatch != "wave":
-            raise SystemExit("--dispatch applies to --backend process only")
         if args.worker_timeout is not None:
             raise SystemExit("--worker-timeout applies to --backend process only")
         if args.max_worker_respawns is not None:
@@ -734,7 +723,6 @@ def _single_run(args: argparse.Namespace) -> int:
                              flight_recorder=flight,
                              backend=args.backend,
                              backend_workers=args.workers,
-                             dispatch=args.dispatch,
                              supervision=_supervision_config(args))
         elif args.impl == "naive":
             result = run_naive_hpx(opts, threads, args.i, execute=args.execute,
@@ -778,7 +766,7 @@ def _single_run(args: argparse.Namespace) -> int:
             print("graph replay: disabled (rebuilding every cycle)")
         if args.backend == "process":
             print(f"backend: process ({args.workers or 2} worker processes, "
-                  f"shared-memory domain, {args.dispatch} dispatch)")
+                  "shared-memory domain)")
         print(f"simulated runtime: {result.runtime_s:.6f} s "
               f"({result.per_iteration_ns/1e6:.3f} ms/iteration)")
         print(f"worker utilization: {result.utilization:.3f}")

@@ -53,10 +53,6 @@ DEFAULT_SKIP = (
     "*build-time*",
     "*replay-time*",
     "/parallel/*",
-    # Covered by the family glob above, listed explicitly because the
-    # dataflow gauges (steals, max-ready, streamed counts) are the most
-    # host-schedule-dependent counters the backend exports.
-    "/parallel/dataflow/*",
     "/serve/wall-time",
     "/serve/jobs-per-sec",
 )

@@ -48,14 +48,12 @@ EVENT_KINDS = frozenset(
         "parallel_stop",  # backend closed (cycles, fallbacks)
         "parallel_cycle",  # one cycle ran on real cores (waves, tasks)
         "parallel_fallback",  # one cycle ran serially (reason)
+        "spec_cost_refresh",  # measured-duration EMA replaced the cost model
         # worker supervision (repro.parallel.supervisor)
         "worker_lost",  # classified worker failure (worker, reason, wave)
         "worker_respawn",  # dead worker replaced (worker, respawns)
         "wave_retry",  # wave re-dispatched after shadow restore (attempt)
         "backend_degraded",  # budgets exhausted; serial path for the rest
-        # dataflow dispatch (repro.parallel.dataflow)
-        "spec_requeue",  # lost worker's in-flight specs back on the ready queue
-        "spec_cost_refresh",  # measured-duration EMA replaced the cost model
         # distributed exchange (repro.dist.comm)
         "halo_send",
         "halo_recv",

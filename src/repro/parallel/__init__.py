@@ -14,22 +14,10 @@ detects dead/hung/garbling workers in bounded time, respawns them, and
 retries the failed wave after rewinding non-idempotent write slices from
 shadow buffers (:mod:`repro.parallel.shadow`); exhausted budgets degrade
 the run to the serial simulated path instead of killing it.
-
-Two dispatch modes drive the pool (``--dispatch {wave,dataflow}``): the
-level-synchronous wave schedule with a full join per level, and
-dependency-driven dataflow dispatch (:mod:`repro.parallel.dataflow`) that
-streams specs by per-task readiness with steal-on-idle rebalancing —
-no barriers inside a segment, same bits out.
 """
 
 from repro.parallel.backend import ParallelHpxBackend, ParallelStats
-from repro.parallel.dataflow import (
-    DEFAULT_WINDOW,
-    DataflowExecutor,
-    DataflowStats,
-)
 from repro.parallel.errors import (
-    DataflowAborted,
     GarbledReplyError,
     ParallelBackendError,
     PlanLoweringError,
@@ -45,7 +33,6 @@ from repro.parallel.plan import (
     TaskSpec,
     Wave,
     assign_waves,
-    critical_ranks,
     execute_spec,
     lower_template,
     parse_task_tag,
@@ -65,10 +52,6 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
-    "DEFAULT_WINDOW",
-    "DataflowAborted",
-    "DataflowExecutor",
-    "DataflowStats",
     "GarbledReplyError",
     "KERNEL_BODIES",
     "KERNEL_IDEMPOTENT",
@@ -91,7 +74,6 @@ __all__ = [
     "WorkerHangError",
     "WorkerSupervisor",
     "assign_waves",
-    "critical_ranks",
     "domain_field_layout",
     "execute_spec",
     "lower_template",

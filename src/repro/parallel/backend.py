@@ -49,16 +49,7 @@ from repro.lulesh.kernels.constraints import (
     reduce_time_constraints,
     time_increment,
 )
-from repro.parallel.dataflow import (
-    DEFAULT_WINDOW,
-    DataflowExecutor,
-    DataflowStats,
-)
-from repro.parallel.errors import (
-    DataflowAborted,
-    ParallelBackendError,
-    SupervisionExhausted,
-)
+from repro.parallel.errors import ParallelBackendError, SupervisionExhausted
 from repro.parallel.plan import assign_waves, execute_spec, lower_template
 from repro.parallel.pool import ProcessWorkerPool
 from repro.parallel.shadow import WaveShadow
@@ -104,8 +95,6 @@ class ParallelHpxBackend:
         flight_recorder=None,
         start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
-        dispatch: str = "wave",
-        window: int = DEFAULT_WINDOW,
     ) -> None:
         if program.domain is None:
             raise ParallelBackendError(
@@ -113,18 +102,10 @@ class ParallelHpxBackend:
             )
         if workers < 1:
             raise ParallelBackendError(f"workers must be >= 1, got {workers}")
-        if dispatch not in ("wave", "dataflow"):
-            raise ParallelBackendError(
-                f"dispatch must be 'wave' or 'dataflow', got {dispatch!r}"
-            )
         self.program = program
         self.domain = program.domain
         self.flight_recorder = flight_recorder
-        self.dispatch = dispatch
-        self.window = window
         self.stats = ParallelStats(workers=workers)
-        self.dataflow_stats = DataflowStats(window=window)
-        self._dataflow: DataflowExecutor | None = None
         self._cost_ema: dict[int, float] = {}
         self._schedule = None
         self._assignments = None
@@ -150,7 +131,6 @@ class ParallelHpxBackend:
                 workers=workers,
                 shm_bytes=self.arena.nbytes,
                 start_method=self.pool.start_method,
-                dispatch=dispatch,
             )
 
     # --- driving --------------------------------------------------------------
@@ -232,12 +212,6 @@ class ParallelHpxBackend:
         st.wall_ns = 0
         st.busy_ns = 0
         st.cost_refreshes = 0
-        df = self.dataflow_stats
-        df.cycles = 0
-        df.tasks_streamed = 0
-        df.steals = 0
-        df.requeues = 0
-        df.max_ready = 0
         sup = self.supervisor.stats
         sup.worker_losses = sup.deaths = sup.hangs = sup.garbles = 0
         sup.respawns = sup.wave_retries = sup.shadow_restores = 0
@@ -245,8 +219,6 @@ class ParallelHpxBackend:
         sup.loss_log.clear()
         self.flight_recorder = flight_recorder
         self.supervisor._flight = flight_recorder
-        if self._dataflow is not None:
-            self._dataflow._flight = flight_recorder
 
     # --- serial (capture / resync) path ---------------------------------------
 
@@ -280,15 +252,6 @@ class ParallelHpxBackend:
         self.stats.lowerings += 1
         self.pool.broadcast_plan(schedule.specs)
         self.supervisor.install_plan(schedule, self._assignments)
-        if self.dispatch == "dataflow":
-            self._dataflow = DataflowExecutor(
-                self.pool,
-                self.supervisor,
-                schedule,
-                window=self.window,
-                flight_recorder=self.flight_recorder,
-                stats=self.dataflow_stats,
-            )
 
     # --- parallel (warm) path -------------------------------------------------
 
@@ -305,10 +268,7 @@ class ParallelHpxBackend:
                 kind = injector.draw_worker(w)
                 if kind is not None:
                     faults[w] = kind
-        if self.dispatch == "dataflow":
-            self._dataflow_cycle(d, cycle, faults)
-        else:
-            self._wave_cycle(d, cycle, faults)
+        self._wave_cycle(d, cycle, faults)
         # Keep the program's rollback detector coherent: a later serial
         # cycle must see the cycles we advanced here.
         self.program._last_cycle = cycle
@@ -347,32 +307,8 @@ class ParallelHpxBackend:
                     cycle=cycle,
                     waves=schedule.n_waves,
                     tasks=dispatched,
-                    dispatch="wave",
                 )
             self._note_durations(durations, cycle, schedule)
-
-    def _dataflow_cycle(self, d, cycle, faults) -> None:
-        schedule = self._schedule
-        streamed0 = self.dataflow_stats.tasks_streamed
-        try:
-            _partials, durations = self._dataflow.run_cycle(d, cycle, faults)
-        except DataflowAborted as exc:
-            if not self.supervisor.config.degrade:
-                raise
-            self._degrade_dataflow(exc, cycle, schedule)
-            return
-        streamed = self.dataflow_stats.tasks_streamed - streamed0
-        self.stats.parallel_cycles += 1
-        self.stats.tasks_dispatched += streamed
-        if self.flight_recorder is not None:
-            self.flight_recorder.record(
-                "parallel_cycle",
-                cycle=cycle,
-                waves=0,
-                tasks=streamed,
-                dispatch="dataflow",
-            )
-        self._note_durations(durations, cycle, schedule)
 
     def _run_serial_specs(self, schedule, wave, partials, durations=None) -> None:
         """Run a wave's main-process specs (``bc``/``reduce``) in order."""
@@ -403,10 +339,10 @@ class ParallelHpxBackend:
 
         Once **every** spec has at least one measurement, the measured
         table replaces the capture-time cost model wholesale — the LPT
-        packing is re-run, the supervisor deadlines re-derived, and the
-        dataflow priority re-ranked.  Simulated-cost and measured-ns units
-        are never mixed within one table: a partially-measured table would
-        compare apples to oranges inside a single wave.
+        packing is re-run and the supervisor deadlines re-derived.
+        Simulated-cost and measured-ns units are never mixed within one
+        table: a partially-measured table would compare apples to oranges
+        inside a single wave.
         """
         if not durations:
             return
@@ -426,8 +362,6 @@ class ParallelHpxBackend:
             schedule, self.pool.n_workers, costs=measured
         )
         self.supervisor.install_plan(schedule, self._assignments, costs=measured)
-        if self._dataflow is not None:
-            self._dataflow.refresh_costs(measured)
         self.stats.cost_refreshes += 1
         if self.flight_recorder is not None:
             self.flight_recorder.record(
@@ -461,37 +395,6 @@ class ParallelHpxBackend:
             self._run_serial_specs(schedule, wave, partials)
         self._finish_degrade(exc, cycle, wave=start_wave)
 
-    def _degrade_dataflow(self, exc, cycle, schedule) -> None:
-        """Finish an aborted dataflow cycle serially, then route serial.
-
-        ``exc.unretired`` lists every spec still to run in ascending index
-        order — creation order, which is topological, so executing them in
-        sequence respects every dependency edge; retired specs' writes are
-        complete and any lost in-flight non-idempotent slices were rewound
-        before the abort was raised.  Each spec gets its own workspace
-        phase window (the dataflow invariant: other processes wrote between
-        specs, so gather caches must not survive across them).
-        """
-        d = self.domain
-        partials = dict(exc.partials)
-        for idx in exc.unretired:
-            spec = schedule.specs[idx]
-            if spec.kind == "reduce":
-                courant, hydro = 1.0e20, 1.0e20
-                for i in sorted(partials):
-                    cmin, hmin = partials[i]
-                    courant = min(courant, cmin)
-                    hydro = min(hydro, hmin)
-                reduce_time_constraints(d, courant, hydro)
-            elif spec.kind == "bc":
-                execute_spec(d, spec)
-            else:
-                with d.workspace.phase():
-                    value = execute_spec(d, spec)
-                if value is not None:
-                    partials[idx] = value
-        self._finish_degrade(exc, cycle, wave=-1)
-
     def _finish_degrade(self, exc, cycle, wave) -> None:
         self._degraded = True
         self.supervisor.stats.degraded = True
@@ -508,7 +411,9 @@ class ParallelHpxBackend:
             f"process backend degraded to the serial path at cycle {cycle} "
             f"({exc}); the run continues on one process",
             RuntimeWarning,
-            stacklevel=6,
+            # _finish_degrade <- _degrade <- _wave_cycle <- _parallel_step
+            # <- _step_inner <- step <- the caller of step()
+            stacklevel=7,
         )
         self.pool.stop()
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 __all__ = [
-    "DataflowAborted",
     "GarbledReplyError",
     "ParallelBackendError",
     "PlanLoweringError",
@@ -79,22 +78,3 @@ class SupervisionExhausted(ParallelBackendError):
     to the driver as a run failure.
     """
 
-
-class DataflowAborted(SupervisionExhausted):
-    """Supervision budgets ran out mid-dataflow-cycle.
-
-    Unlike the wave path — where the failed wave's shadow has been fully
-    restored and the backend re-executes whole remaining waves — a
-    dataflow cycle aborts with work already retired.  The exception
-    carries everything the backend needs to finish the cycle serially and
-    bit-identically: ``partials`` maps retired constraint-spec indices to
-    their ``(courant, hydro)`` values, and ``unretired`` is the ascending
-    tuple of spec indices still to execute (creation order is topological,
-    so executing them in index order respects every dependency edge; the
-    shadows of any lost in-flight specs were restored before raising).
-    """
-
-    def __init__(self, message: str, partials=None, unretired=()) -> None:
-        super().__init__(message)
-        self.partials = dict(partials or {})
-        self.unretired = tuple(unretired)

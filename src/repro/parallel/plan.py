@@ -64,7 +64,6 @@ __all__ = [
     "parse_task_tag",
     "lower_template",
     "assign_waves",
-    "critical_ranks",
     "execute_spec",
     "spec_is_idempotent",
 ]
@@ -161,22 +160,11 @@ class Wave:
 
 @dataclass(frozen=True)
 class ParallelSchedule:
-    """A template lowered to an executable wave plan.
-
-    Besides the level-synchronous ``waves``, the schedule carries the raw
-    dependency structure the dataflow dispatcher needs: ``parents[i]`` /
-    ``successors[i]`` are spec-index edges (sync nodes folded through, so
-    an edge means "must retire before"), and ``seg_ranges`` is the
-    ``[start, end)`` spec range of each captured segment — segments are
-    flush boundaries, so even dataflow dispatch joins at a segment edge.
-    """
+    """A template lowered to an executable wave plan."""
 
     specs: tuple[TaskSpec, ...]
     costs: tuple[int, ...] = field(repr=False, default=())
     waves: tuple[Wave, ...] = ()
-    parents: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    successors: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    seg_ranges: tuple[tuple[int, int], ...] = ()
 
     @property
     def n_parallel_tasks(self) -> int:
@@ -241,60 +229,35 @@ def lower_template(template) -> ParallelSchedule:
     segments are flush boundaries and execute strictly in order.  Sync
     tasks occupy levels (keeping their children correctly ordered) but emit
     no specs; empty levels are elided.
-
-    The same pass also flattens the edge list to spec indices for the
-    dataflow dispatcher: a sync task contributes the union of its parents'
-    contributions (transitively — chains of barriers/gates collapse), a
-    spec task contributes itself, and ``parents[i]`` is the union over
-    ``SimTask.parents`` of those contributions.
     """
     specs: list[TaskSpec] = []
     costs: list[int] = []
     waves: list[Wave] = []
-    parents: list[tuple[int, ...]] = []
-    seg_ranges: list[tuple[int, int]] = []
     for seg in template.segments:
-        seg_start = len(specs)
         levels: dict[int, int] = {}
-        contrib: dict[int, frozenset[int]] = {}
         buckets: dict[int, tuple[list[int], list[int]]] = {}
         for ti, task in enumerate(seg.tasks):
             lvl = 0
-            deps: set[int] = set()
             for parent in task.parents:
                 plvl = levels.get(id(parent))
                 if plvl is not None:
                     lvl = max(lvl, plvl + 1)
-                pc = contrib.get(id(parent))
-                if pc:
-                    deps |= pc
             levels[id(task)] = lvl
             spec = parse_task_tag(task.tag)
             if spec.kind == "sync":
-                contrib[id(task)] = frozenset(deps)
                 continue
             idx = len(specs)
-            contrib[id(task)] = frozenset((idx,))
             specs.append(spec)
             costs.append(seg.costs[ti])
-            parents.append(tuple(sorted(deps)))
             par, ser = buckets.setdefault(lvl, ([], []))
             if spec.kind in ("bc", "reduce"):
                 ser.append(idx)
             else:
                 par.append(idx)
-        seg_ranges.append((seg_start, len(specs)))
         for lvl in sorted(buckets):
             par, ser = buckets[lvl]
             waves.append(Wave(tuple(par), tuple(ser)))
-    succ: list[list[int]] = [[] for _ in specs]
-    for i, deps in enumerate(parents):
-        for p in deps:
-            succ[p].append(i)
-    return ParallelSchedule(
-        tuple(specs), tuple(costs), tuple(waves), tuple(parents),
-        tuple(tuple(s) for s in succ), tuple(seg_ranges),
-    )
+    return ParallelSchedule(tuple(specs), tuple(costs), tuple(waves))
 
 
 def assign_waves(
@@ -329,26 +292,6 @@ def assign_waves(
             buckets[w].append(idx)
         out.append(tuple(tuple(b) for b in buckets))
     return tuple(out)
-
-
-def critical_ranks(
-    schedule: ParallelSchedule, costs: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
-    """Per-spec upward rank: cost of the longest dependent chain from *i*.
-
-    The HEFT-style priority the dataflow dispatcher orders its ready queue
-    by — dispatching the spec with the longest remaining chain first keeps
-    the critical path hot.  Successor edges are intra-segment and spec
-    order is topological per segment, so one reverse pass suffices.
-    """
-    if costs is None:
-        costs = schedule.costs
-    n = len(schedule.specs)
-    rank = [0] * n
-    for i in range(n - 1, -1, -1):
-        tail = max((rank[s] for s in schedule.successors[i]), default=0)
-        rank[i] = costs[i] + tail
-    return tuple(rank)
 
 
 def spec_is_idempotent(spec: TaskSpec) -> bool:

@@ -26,7 +26,6 @@ import multiprocessing as mp
 import os
 import pickle
 import time
-from multiprocessing import connection as mp_connection
 
 from repro.parallel.errors import (
     GarbledReplyError,
@@ -240,45 +239,6 @@ class ProcessWorkerPool:
         """Dispatch one wave message to one worker (supervision path)."""
         self._check_usable(allow_poisoned=True)
         self._send(w, ("wave", deltatime, time_now, cycle, indices, fault))
-
-    def send_task(
-        self, w: int, seq: int, deltatime, time_now, cycle, index: int,
-        fault=None,
-    ) -> None:
-        """Stream one spec to one worker (dataflow dispatch, pipelined)."""
-        self._check_usable(allow_poisoned=True)
-        self._send(w, ("task", seq, deltatime, time_now, cycle, index, fault))
-
-    def poll_workers(self, workers, timeout_s: float) -> list[int]:
-        """Worker indices with a reply (or EOF) ready within *timeout_s*.
-
-        Returns a sorted list — possibly empty on timeout.  A dead worker's
-        pipe shows up as ready (EOF); the subsequent receive classifies it.
-        """
-        conns = [self._conns[w] for w in workers]
-        ready = mp_connection.wait(conns, timeout=max(0.0, timeout_s))
-        by_id = {id(c): w for c, w in zip(conns, workers)}
-        return sorted(by_id[id(c)] for c in ready)
-
-    def recv_task_reply(self, w: int, timeout_s: float):
-        """Collect one task reply: ``(seq, index, value, duration_ns)``.
-
-        Same failure classification as :meth:`reply_deadline`, plus a shape
-        check on the task payload (a worker echoing the wrong structure is
-        as untrusted as one sending undecodable bytes).
-        """
-        payload = self.reply_deadline(w, timeout_s)
-        if (
-            not isinstance(payload, tuple)
-            or len(payload) != 4
-            or not isinstance(payload[0], int)
-            or not isinstance(payload[1], int)
-        ):
-            self._poisoned = f"worker {w} sent a malformed task reply"
-            raise GarbledReplyError(
-                w, f"worker {w} sent a malformed task reply: {payload!r}"
-            )
-        return payload
 
     def reply_deadline(self, w: int, timeout_s: float):
         """Collect one reply with a deadline; classify what went wrong.

@@ -59,21 +59,9 @@ class WaveShadow:
         cls, domain, schedule: ParallelSchedule, wave: Wave
     ) -> "WaveShadow | None":
         """Snapshot *wave*'s non-idempotent writes; ``None`` if it has none."""
-        return cls.capture_specs(domain, schedule, wave.parallel)
-
-    @classmethod
-    def capture_specs(
-        cls, domain, schedule: ParallelSchedule, indices
-    ) -> "WaveShadow | None":
-        """Snapshot the non-idempotent writes of the given spec *indices*.
-
-        The dataflow dispatcher calls this with a single spec index right
-        before streaming it to a worker — a per-spec shadow restored if the
-        worker is lost mid-flight and the spec has to be requeued.
-        """
         slabs: list = []
         scatters: list = []
-        for si in indices:
+        for si in wave.parallel:
             spec = schedule.specs[si]
             if spec_is_idempotent(spec):
                 continue

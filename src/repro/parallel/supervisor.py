@@ -121,8 +121,6 @@ class WorkerSupervisor:
         self._flight = flight_recorder
         self._sleep = sleep
         self._deadlines: tuple[float, ...] = ()
-        self._spec_costs: tuple[float, ...] = ()
-        self._top_spec_cost: float = 0
 
     # --- planning -------------------------------------------------------------
 
@@ -133,12 +131,9 @@ class WorkerSupervisor:
         straggler), so each wave's deadline scales with its max per-worker
         assigned cost relative to the costliest wave's.  *costs* overrides
         the capture-time estimates (the backend passes measured EMAs once
-        warm).  The same cost table feeds the per-outstanding-spec
-        deadlines the dataflow dispatcher polls against.
+        warm).
         """
-        spec_costs = tuple(costs) if costs is not None else schedule.costs
-        self._spec_costs = spec_costs
-        self._top_spec_cost = max(spec_costs, default=0)
+        spec_costs = costs if costs is not None else schedule.costs
         loads = []
         for wave_assign in assignments:
             loads.append(
@@ -159,20 +154,6 @@ class WorkerSupervisor:
         if wave_index < len(self._deadlines):
             return self._deadlines[wave_index]
         return self.config.worker_timeout_s
-
-    def spec_deadline_s(self, index: int) -> float:
-        """Watchdog deadline for one outstanding spec (dataflow dispatch).
-
-        Scales with the spec's cost relative to the costliest spec, with
-        the same floor as waves — message latency does not shrink with
-        spec cost.  The clock starts when the spec reaches the head of its
-        worker's in-flight window, not at send (replies are FIFO per
-        worker, so only the head can be making no progress).
-        """
-        costs = self._spec_costs
-        top = self._top_spec_cost
-        frac = (costs[index] / top) if top and index < len(costs) else 1.0
-        return self.config.worker_timeout_s * max(_DEADLINE_FLOOR, frac)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -285,43 +266,35 @@ class WorkerSupervisor:
     # --- recovery -------------------------------------------------------------
 
     def _recover_workers(self, failures, cycle, wave_index) -> None:
-        """Kill/reap every failed worker and respawn within budget."""
-        for w, exc in sorted(failures.items()):
-            self.recover_worker(w, exc, cycle, wave=wave_index)
+        """Kill/reap every failed worker and respawn within budget.
 
-    def recover_worker(
-        self, w: int, exc: WorkerFailure, cycle: int,
-        wave: int = -1, spec: int | None = None,
-    ) -> None:
-        """Kill/reap/respawn one classified-failed worker within budget.
-
-        Shared by the wave path (``wave`` set) and the dataflow dispatcher
-        (``wave=-1``, ``spec`` naming the in-flight head when known).
         Raises :class:`SupervisionExhausted` once the respawn budget is
-        spent — the worker is reaped but *not* replaced.
+        spent — the failed worker is reaped but *not* replaced.
         """
-        exitcode = self.pool.kill_worker(w)
-        self.stats.note_loss(w, exc.reason, cycle, wave)
-        detail = dict(
-            worker=w, reason=exc.reason, cycle=cycle, wave=wave,
-            exitcode=exitcode,
-        )
-        if spec is not None:
-            detail["spec"] = spec
-        self._record("worker_lost", **detail)
-        if self.stats.respawns >= self.config.max_respawns:
-            raise SupervisionExhausted(
-                f"worker {w} lost ({exc.reason}) but the respawn budget "
-                f"({self.config.max_respawns}) is spent"
+        for w, exc in sorted(failures.items()):
+            exitcode = self.pool.kill_worker(w)
+            self.stats.note_loss(w, exc.reason, cycle, wave_index)
+            self._record(
+                "worker_lost",
+                worker=w,
+                reason=exc.reason,
+                cycle=cycle,
+                wave=wave_index,
+                exitcode=exitcode,
             )
-        self.pool.respawn_worker(w)
-        self.stats.respawns += 1
-        self._record(
-            "worker_respawn",
-            worker=w,
-            cycle=cycle,
-            respawns=self.stats.respawns,
-        )
+            if self.stats.respawns >= self.config.max_respawns:
+                raise SupervisionExhausted(
+                    f"worker {w} lost ({exc.reason}) but the respawn budget "
+                    f"({self.config.max_respawns}) is spent"
+                )
+            self.pool.respawn_worker(w)
+            self.stats.respawns += 1
+            self._record(
+                "worker_respawn",
+                worker=w,
+                cycle=cycle,
+                respawns=self.stats.respawns,
+            )
 
     def _record(self, kind: str, **args) -> None:
         if self._flight is not None:

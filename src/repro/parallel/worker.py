@@ -12,18 +12,11 @@ From then on it serves a tiny message protocol over its pipe:
   ``("ok", (partials, durations))`` where *partials* are the non-``None``
   spec results (constraint minima) and *durations* the measured
   ``(index, ns)`` wall time of every executed spec (fed back into the LPT
-  packing and the dataflow priority);
-* ``("task", seq, deltatime, time, cycle, index, fault)`` — dataflow
-  dispatch: execute a single spec and reply
-  ``("ok", (seq, index, value, ns))``.  Task messages are pipelined — the
-  main process keeps a bounded in-flight window per worker and matches
-  replies to sends by the echoed ``seq`` — and each spec runs in its own
-  workspace phase window, because between two streamed specs *other*
-  processes may have rewritten fields the gather caches cover;
+  packing and the wave deadlines);
 * ``("ping",)`` — liveness round-trip, replies ``("ok", None)``;
 * ``("stop",)`` — detach and exit.
 
-The wave and task messages' ``fault`` slot (normally ``None``) carries a
+The wave message's ``fault`` slot (normally ``None``) carries a
 seeded chaos directive from the fault injector's ``worker:`` target.  The
 worker honours it *after* executing its specs — the hard case for
 recovery, since the writes have already landed in shared memory: ``kill``
@@ -94,35 +87,6 @@ def worker_main(conn, shm_name, layout, opts) -> None:
                         continue
                     conn.send(("ok", (partials, durations)))
                 except BaseException as exc:  # ship it back, keep serving
-                    try:
-                        conn.send(("err", exc))
-                    except Exception:
-                        conn.send(
-                            ("err", RuntimeError(f"{type(exc).__name__}: {exc}"))
-                        )
-            elif op == "task":
-                _, seq, deltatime, time_now, cycle, idx, fault = msg
-                domain.deltatime = deltatime
-                domain.time = time_now
-                domain.cycle = cycle
-                try:
-                    # One phase window per streamed spec: unlike a wave,
-                    # consecutive task messages are separated by other
-                    # processes' writes, so gather caches must not survive.
-                    t0 = time.perf_counter_ns()
-                    with domain.workspace.phase():
-                        value = execute_spec(domain, specs[idx])
-                    dur = time.perf_counter_ns() - t0
-                    if fault == "kill":
-                        os._exit(17)
-                    elif fault == "hang":
-                        time.sleep(3600.0)
-                        continue
-                    elif fault == "garble":
-                        conn.send_bytes(b"\x80\x04not a pickle")
-                        continue
-                    conn.send(("ok", (seq, idx, value, dur)))
-                except BaseException as exc:
                     try:
                         conn.send(("err", exc))
                     except Exception:

@@ -286,14 +286,12 @@ def install_graph_counters(registry: CounterRegistry, stats) -> None:
 
 
 def install_parallel_counters(
-    registry: CounterRegistry, stats, supervision=None, dataflow=None
+    registry: CounterRegistry, stats, supervision=None
 ) -> None:
     """Register the ``/parallel/*`` family reading a
     :class:`~repro.parallel.backend.ParallelStats` instance, plus the
     ``/parallel/supervision/*`` subtree when a
-    :class:`~repro.parallel.supervisor.SupervisionStats` is given and the
-    ``/parallel/dataflow/*`` subtree when a
-    :class:`~repro.parallel.dataflow.DataflowStats` is given.
+    :class:`~repro.parallel.supervisor.SupervisionStats` is given.
 
     The stats object belongs to one process-backend run
     (:class:`~repro.parallel.backend.ParallelHpxBackend`).  The whole
@@ -354,39 +352,6 @@ def install_parallel_counters(
         lambda: stats.cost_refreshes,
         description="times the measured-duration EMA replaced the cost model",
     )
-    if dataflow is not None:
-        df = dataflow
-        registry.register_gauge(
-            "/parallel/dataflow/cycles",
-            lambda: df.cycles,
-            description="cycles executed by dependency-driven dispatch",
-        )
-        registry.register_gauge(
-            "/parallel/dataflow/tasks-streamed",
-            lambda: df.tasks_streamed,
-            description="single-spec task messages streamed to workers",
-        )
-        registry.register_gauge(
-            "/parallel/dataflow/steals",
-            lambda: df.steals,
-            description="specs pulled by a worker that drained its window "
-            "while others were busy",
-        )
-        registry.register_gauge(
-            "/parallel/dataflow/requeues",
-            lambda: df.requeues,
-            description="in-flight specs requeued after a worker loss",
-        )
-        registry.register_gauge(
-            "/parallel/dataflow/max-ready",
-            lambda: df.max_ready,
-            description="peak depth of the ready queue",
-        )
-        registry.register_gauge(
-            "/parallel/dataflow/window",
-            lambda: df.window,
-            description="bounded in-flight specs per worker",
-        )
     if supervision is None:
         return
     sup = supervision

@@ -267,7 +267,6 @@ class SearchSpace:
             Knob("policy", POLICY_LADDER, "hpx-default"),
             Knob("backend", ("sim", "process"), "sim"),
             Knob("workers", (1, 2, 4), 2),
-            Knob("dispatch", ("wave", "dataflow"), "wave"),
         ))
 
     @classmethod

@@ -11,15 +11,6 @@ class TestFlagValidation:
         args = build_parser().parse_args([])
         assert args.backend == "sim"
         assert args.workers is None
-        assert args.dispatch == "wave"
-
-    def test_dispatch_requires_process_backend(self):
-        with pytest.raises(SystemExit, match="--backend process"):
-            main(["--dispatch", "dataflow", "--s", "4", "--i", "1"])
-
-    def test_dispatch_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--dispatch", "chaos"])
 
     def test_workers_requires_process_backend(self):
         with pytest.raises(SystemExit, match="--backend process"):
@@ -104,29 +95,6 @@ class TestProcessRun:
         # serial capture cycle (warm cycles never flush the DES sampler)
         cycle_rows = [l for l in out.splitlines()
                       if l.startswith("/parallel/cycles,")]
-        assert cycle_rows and cycle_rows[-1].split(",")[-1] == "2"
-
-    def test_tiny_dataflow_run(self, capsys):
-        assert main([
-            "--backend", "process", "--workers", "2", "--execute",
-            "--dispatch", "dataflow",
-            "--s", "8", "--i", "3", "--threads", "4",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "dataflow dispatch" in out
-        assert "final origin energy" in out
-
-    def test_dataflow_counters_exported(self, capsys):
-        assert main([
-            "--backend", "process", "--workers", "2", "--execute",
-            "--dispatch", "dataflow",
-            "--s", "6", "--i", "3", "--threads", "4", "--q",
-            "--print-counters", "/parallel/dataflow/*",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "/parallel/dataflow/tasks-streamed" in out
-        cycle_rows = [l for l in out.splitlines()
-                      if l.startswith("/parallel/dataflow/cycles,")]
         assert cycle_rows and cycle_rows[-1].split(",")[-1] == "2"
 
     def test_chaos_run_recovers_and_exits_zero(self, capsys, tmp_path):

@@ -56,7 +56,6 @@ class TestBands:
             "*build-time*",
             "*replay-time*",
             "/parallel/*",
-            "/parallel/dataflow/*",
             "/serve/wall-time",
             "/serve/jobs-per-sec",
         )

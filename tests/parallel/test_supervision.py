@@ -20,6 +20,8 @@ from repro.parallel import (
     ParallelHpxBackend,
     SupervisionConfig,
     SupervisionExhausted,
+    WorkerSupervisor,
+    assign_waves,
 )
 from repro.resilience import ResiliencePlan
 from repro.resilience.injector import FaultInjector
@@ -181,6 +183,21 @@ def test_respawn_exhaustion_degrades_and_completes(serial_baselines):
     assert reasons.count("degraded") == 3  # cycles 4, 5, 6
 
 
+def test_degrade_warning_names_the_caller_of_step():
+    """The degrade RuntimeWarning points at the code that called step()."""
+    program = make_execute_program(nx=5, num_reg=3)
+    program.rt.fault_injector = FaultInjector(["worker:0:kill@3"])
+    cfg = SupervisionConfig(worker_timeout_s=2.0, max_respawns=0)
+    with ParallelHpxBackend(program, workers=2, supervision=cfg) as backend:
+        backend.step()  # capture
+        backend.step()  # warm
+        with pytest.warns(RuntimeWarning, match="degraded") as record:
+            backend.step()  # cycle 3: worker 0 dies, no respawn budget
+        assert backend.degraded
+    degraded = [w for w in record if "degraded" in str(w.message)]
+    assert [w.filename for w in degraded] == [__file__]
+
+
 def test_no_degrade_raises_supervision_exhausted():
     plan = ResiliencePlan(inject=("worker:0:kill@3",))
     cfg = SupervisionConfig(worker_timeout_s=2.0, max_respawns=0, degrade=False)
@@ -190,6 +207,34 @@ def test_no_degrade_raises_supervision_exhausted():
             execute=True, backend="process", backend_workers=2,
             supervision=cfg, resilience=plan,
         )
+
+
+def test_measured_costs_refresh_the_plan():
+    """Once every spec has a measured duration, the EMA table replaces the
+    capture-time cost model — LPT repacks and the wave deadlines rescale —
+    and the refresh lands in the flight record with the full cost table."""
+    flight = FlightRecorder()
+    program = make_execute_program(nx=6, num_reg=3)
+    with ParallelHpxBackend(
+        program, workers=2, flight_recorder=flight
+    ) as backend:
+        backend.run(4)  # capture + 3 warm cycles
+        assert backend.stats.cost_refreshes >= 1
+        assert backend.stats.busy_ns > 0
+        events = flight.events_of("spec_cost_refresh")
+        assert len(events) == backend.stats.cost_refreshes
+        table = events[0].detail["costs"]
+        assert len(table) == len(backend._schedule.specs)
+        assert all(cost >= 1 for _i, cost in table)
+        # the installed packing and wave deadlines run on measured time
+        measured = tuple(c for _i, c in events[-1].detail["costs"])
+        schedule = backend._schedule
+        assert backend._assignments == assign_waves(
+            schedule, 2, costs=measured
+        )
+        expected = WorkerSupervisor(None, backend.supervisor.config)
+        expected.install_plan(schedule, backend._assignments, costs=measured)
+        assert backend.supervisor._deadlines == expected._deadlines
 
 
 def test_supervision_counters_exported():

@@ -18,14 +18,10 @@ class TestSpace:
         workers = space.knob("workers")
         assert workers.values == (1, 2, 4)
         assert workers.default == 2
-        dispatch = space.knob("dispatch")
-        assert dispatch.values == ("wave", "dataflow")
-        assert dispatch.default == "wave"
 
     def test_default_config_stays_on_sim(self):
         cfg = SearchSpace.hpx_full(30).default_config()
         assert cfg["backend"] == "sim"
-        assert cfg["dispatch"] == "wave"
 
 
 class TestEvaluator:
@@ -96,6 +92,16 @@ class TestDatabaseTolerance:
                   runtime_ns=10, strategy="grid", seed=0, n_trials=1)
         assert db.tuned_partition_sizes(m, "hpx", 30, 11, 24) == (1024, 2048)
         assert db.tuned_config(_fingerprint(m), shape)["backend"] == "process"
+
+    def test_entries_with_removed_dispatch_knob_still_resolve(self):
+        db = TuningDatabase()
+        m = MachineConfig()
+        shape = {"nx": 30, "numReg": 11, "threads": 24}
+        cfg = {"nodal_partition": 1024, "elements_partition": 2048,
+               "backend": "process", "workers": 2, "dispatch": "dataflow"}
+        db.record(_fingerprint(m), shape, cfg,
+                  runtime_ns=10, strategy="grid", seed=0, n_trials=1)
+        assert db.tuned_partition_sizes(m, "hpx", 30, 11, 24) == (1024, 2048)
 
     def test_roundtrip_through_disk(self, tmp_path):
         path = str(tmp_path / "tuning.json")

@@ -156,7 +156,7 @@ class TestCanonicalSpaces:
             "nodal_partition", "elements_partition", "combine_loops",
             "parallel_chains", "prioritize_expensive_regions",
             "balanced_split", "replay_graph", "policy",
-            "backend", "workers", "dispatch",
+            "backend", "workers",
         }
         assert sp.knob("policy").values == POLICY_LADDER
         # defaults match the paper's full variant
@@ -168,7 +168,6 @@ class TestCanonicalSpaces:
         # execution-backend knobs default to the in-process path
         assert c["backend"] == "sim"
         assert c["workers"] == 2
-        assert c["dispatch"] == "wave"
 
     def test_omp_baseline(self):
         sp = SearchSpace.omp_baseline()
