@@ -21,13 +21,21 @@ alongside for honesty; the allocator-dependence of the whole effect is
 itself the paper's point.  The partitioned task path is also recorded:
 2048-element partition buffers sit below the mmap threshold and recycle
 through malloc's free lists, so the arena win there is expected to be small.
+
+The s=20 partitioned record (``partitioned_s20``) is the per-kernel view of
+the benchmark's ``exec-s20`` problem: milliseconds per cycle of each force
+kernel and kernel group over the Table I partitions, and the partitioned
+iteration's grind time, each row with its repetitions, spread and the host
+CPU count.
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +56,7 @@ from repro.lulesh.reference import SequentialDriver
 from repro.simcore.allocator import workspace_allocation_stats
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
+from tests.lulesh.test_workspace import partitioned_step
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -123,11 +132,16 @@ def _time_iteration_arm(nx, label, warmup=2, reps=5, pin_malloc=True):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _merge_results(section, payload):
+def _merge_results(section, payload, key=None):
+    """Store *payload* as *section* (or as *section*[*key*], keeping the
+    section's other entries)."""
     data = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     data.setdefault("meta", {})["unit"] = "ns (min over repetitions)"
     data["meta"]["sizes"] = list(SIZES)
-    data[section] = payload
+    if key is None:
+        data[section] = payload
+    else:
+        data.setdefault(section, {})[key] = payload
     OUT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
@@ -263,3 +277,107 @@ class TestKernelWallclock:
         results[f"s{nx}"] = row
         _merge_results("partitioned_iteration", results)
         assert row["arena_ns"] > 0
+
+
+S20 = 20
+S20_WARMUP = 3
+S20_REPS = 30
+S20_CONFIG = "s=20, 11 regions, Table I partitions (2048 elements, 2048 nodes)"
+
+#: Kernel -> record row: the three force kernels on their own, every other
+#: kernel in its ``perfbench/layers.py`` group.
+S20_ROWS = {
+    "integrate_stress": "integrate_stress",
+    "calc_hourglass_control": "calc_hourglass_control",
+    "calc_fb_hourglass_force": "calc_fb_hourglass_force",
+    "init_stress_terms": "stress_other",
+    "sum_elem_forces_to_nodes": "force_sum",
+    "calc_acceleration": "force_sum",
+    "apply_acceleration_bc": "nodal_update",
+    "calc_velocity": "nodal_update",
+    "calc_position": "nodal_update",
+    "calc_kinematics": "kinematics",
+    "calc_lagrange_elements_part2": "kinematics",
+    "calc_monotonic_q_gradients": "qcalc",
+    "calc_monotonic_q_region": "qcalc",
+    "check_q_stop": "qcalc",
+    "apply_material_properties_prologue": "eos",
+    "eval_eos_region": "eos",
+    "update_volumes": "eos",
+    "time_increment": "constraints",
+    "calc_courant_constraint": "constraints",
+    "calc_hydro_constraint": "constraints",
+    "reduce_time_constraints": "constraints",
+}
+
+
+def _row(layer, unit, samples):
+    median = statistics.median(samples)
+    return {
+        "layer": layer,
+        "config": S20_CONFIG,
+        "unit": unit,
+        "reps": len(samples),
+        "min": min(samples),
+        "median": median,
+        "mad": statistics.median(abs(v - median) for v in samples),
+        "host_cpus": os.cpu_count(),
+    }
+
+
+def _kernel_ms_per_cycle():
+    """Each row's kernel time per cycle (ms) over ``S20_REPS`` cycles."""
+    domain = Domain(LuleshOptions(nx=S20, numReg=11))
+    for _ in range(S20_WARMUP):
+        partitioned_step(domain)
+    samples = defaultdict(list)
+    for _ in range(S20_REPS):
+        cycle_ns = defaultdict(int)
+
+        def timed(fn, *args):
+            t0 = time.perf_counter_ns()
+            out = fn(*args)
+            cycle_ns[S20_ROWS[fn.__name__]] += time.perf_counter_ns() - t0
+            return out
+
+        partitioned_step(domain, timed)
+        for row in dict.fromkeys(S20_ROWS.values()):
+            samples[row].append(cycle_ns[row] / 1e6)
+    return samples
+
+
+def _grind_us_per_zone():
+    """Grind time (us/zone/cycle) of the partitioned ``HpxLuleshProgram``
+    (full variant, graph replay): the ``exec-s20`` benchmark's op."""
+    domain = Domain(LuleshOptions(nx=S20, numReg=11))
+    npart, epart = table1_partition_sizes(S20)
+    program = HpxLuleshProgram(
+        AmtRuntime(MachineConfig(), CostModel(), 24),
+        ProblemShape.from_domain(domain), DEFAULT_COSTS,
+        nodal_partition=npart, elements_partition=epart, domain=domain,
+    )
+    for _ in range(1 + S20_WARMUP):  # capture + warm cycles
+        program.step()
+    samples = []
+    for _ in range(S20_REPS):
+        t0 = time.perf_counter_ns()
+        program.step()
+        samples.append((time.perf_counter_ns() - t0) / 1e3 / domain.numElem)
+    return samples
+
+
+class TestPartitionedS20Record:
+    def test_partitioned_s20_record(self):
+        """Per-kernel ms per cycle and grind time at s=20, partitioned.
+
+        Writes ``partitioned_s20.latest``.  The committed ``before`` and
+        ``after`` entries are the same record taken on the parent and on a
+        kernel change, back to back on one host.
+        """
+        rows = [
+            _row(f"kernel:{name}", "ms/cycle", samples)
+            for name, samples in _kernel_ms_per_cycle().items()
+        ]
+        rows.append(_row("grind", "us/zone/cycle", _grind_us_per_zone()))
+        _merge_results("partitioned_s20", rows, key="latest")
+        assert all(row["min"] > 0 for row in rows)

@@ -75,40 +75,50 @@ def calc_fb_hourglass_force(domain, lo: int, hi: int) -> None:
         domain.hgfz_elem.reshape(-1, 8)[lo:hi] = 0.0
         return
     ws = domain.workspace
-    gamma = GAMMA_HOURGLASS  # (4 modes, 8 corners)
-    gamma_t = gamma.T
+    gamma_t = GAMMA_HOURGLASS.T  # (8 corners, 4 modes)
     determ = domain.hg_determ[lo:hi]
     n = hi - lo
 
+    # Scratch is element-last, (corner, mode, element): every pass runs
+    # over contiguous element rows, and the corner sum stays the outermost
+    # einsum loop for every n.  The einsums keep the reference's per-value
+    # operations and summation orders (pinned by the kernel-equivalence
+    # property test); an einsum writes ``0 + sum``, so its output never
+    # holds -0.0.
     with ws.scope() as s:
         volinv = s.take((n,))
         np.divide(1.0, determ, out=volinv)
 
-        # hourmod[m] = sum_a coord8n[a] * gamma[m][a]  -> (n, 4)
-        hmx = s.take((n, 4))
-        hmy = s.take((n, 4))
-        hmz = s.take((n, 4))
-        np.matmul(domain.x8n[lo:hi], gamma_t, out=hmx)
-        np.matmul(domain.y8n[lo:hi], gamma_t, out=hmy)
-        np.matmul(domain.z8n[lo:hi], gamma_t, out=hmz)
+        # hourmod[m] = sum_a coord8n[a] * gamma[m][a]: (n, 8) @ (8, 4) BLAS,
+        # then transposed to (4, n).
+        hm = s.take((n, 4))
+        hm_t = s.take((4, n))
+        row = s.take((8, n))
+        hourgam = s.take((8, 4, n))
+        t = s.take((8, 4, n))
 
         # hourgam[a][m] = gamma[m][a] - volinv * (dvdx[a]*hmx[m] + ...)
         # Outer products and the volinv scale go through einsum: broadcast
         # (stride-0) ufunc operands trigger buffered iteration, which
         # allocates per call; einsum's contraction loop does not.
-        hourgam = s.take((n, 8, 4))
-        t84 = s.take((n, 8, 4))
-        np.einsum("na,nm->nam", domain.dvdx[lo:hi], hmx, out=hourgam)
-        np.einsum("na,nm->nam", domain.dvdy[lo:hi], hmy, out=t84)
-        hourgam += t84
-        np.einsum("na,nm->nam", domain.dvdz[lo:hi], hmz, out=t84)
-        hourgam += t84
-        np.einsum("nam,n->nam", hourgam, volinv, out=t84)
+        for i, (c8n, dv) in enumerate(
+            ((domain.x8n, domain.dvdx), (domain.y8n, domain.dvdy),
+             (domain.z8n, domain.dvdz))
+        ):
+            np.matmul(c8n[lo:hi], gamma_t, out=hm)
+            hm_t[...] = hm.T
+            row[...] = dv[lo:hi].T
+            np.einsum("an,mn->amn", row, hm_t, out=t if i else hourgam)
+            if i:
+                hourgam += t
+        np.einsum("amn,n->amn", hourgam, volinv, out=t)
         gamma_full = ws.static(
-            ("gamma-broadcast", n),
-            lambda: np.ascontiguousarray(np.broadcast_to(gamma_t, (n, 8, 4))),
+            ("gamma-element-last", n),
+            lambda: np.ascontiguousarray(
+                np.broadcast_to(gamma_t[:, :, None], (8, 4, n))
+            ),
         )
-        np.subtract(gamma_full, t84, out=hourgam)
+        np.subtract(gamma_full, t, out=hourgam)
 
         ss1 = domain.ss[lo:hi]
         mass1 = domain.elemMass[lo:hi]
@@ -121,17 +131,24 @@ def calc_fb_hourglass_force(domain, lo: int, hi: int) -> None:
         coefficient *= mass1
         coefficient /= volume13
 
-        xd = domain.gather_corners("xd", lo, hi)
-        yd = domain.gather_corners("yd", lo, hi)
-        zd = domain.gather_corners("zd", lo, hi)
-
         fx = domain.hgfx_elem.reshape(-1, 8)
         fy = domain.hgfy_elem.reshape(-1, 8)
         fz = domain.hgfz_elem.reshape(-1, 8)
-        h = s.take((n, 4))
-        fcorn = s.take((n, 8))
-        # h[m] = sum_a hourgam[a][m] * vel[a]; force[a] = coeff * hourgam[a][m] h[m]
-        for vel, f in ((xd, fx), (yd, fy), (zd, fz)):
-            np.einsum("nam,na->nm", hourgam, vel, out=h)
-            np.einsum("nam,nm->na", hourgam, h, out=fcorn)
-            np.einsum("n,na->na", coefficient, fcorn, out=f[lo:hi])
+        h = hm_t
+        # Modes split as m = 2j + i: pairs[i][a] = p_i + p_(i+2) is a
+        # two-term einsum sum, whose order cannot matter.
+        hourgam_ji = hourgam.reshape(8, 2, 2, n)
+        h_ji = h.reshape(2, 2, n)
+        pairs = s.take((2, 8, n))
+        # h[m] = sum_a hourgam[a][m] * vel[a], summed over a left to right;
+        # force[a] = coeff * sum_m hourgam[a][m] * h[m], the four mode
+        # products summed as (p0 + p2) + (p1 + p3).  The plain add can leave
+        # a -0.0 where the reference's einsum held +0.0; the coefficient
+        # einsum turns it into +0.0, as the reference's last einsum does.
+        for name, f in (("xd", fx), ("yd", fy), ("zd", fz)):
+            row[...] = domain.gather_corners(name, lo, hi).T
+            np.einsum("amn,an->mn", hourgam, row, out=h)
+            np.einsum("ajin,jin->ian", hourgam_ji, h_ji, out=pairs)
+            np.add(pairs[0], pairs[1], out=row)
+            np.einsum("an,n->an", row, coefficient, out=pairs[0])
+            f[lo:hi] = pairs[0].T

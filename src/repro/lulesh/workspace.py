@@ -33,7 +33,9 @@ around one leapfrog iteration (or one phase of it).  Each entry remembers
 the epoch (bumped when the outermost window opens) and the source field's
 version (bumped by ``Domain.touch`` in the kernels that write nodal
 fields).  Direct kernel calls outside any window — unit tests, the
-distributed driver — always get fresh gathers, so no caller needs auditing.
+distributed driver — always get fresh gathers, so no caller needs auditing;
+those buffers belong to the caller and stay out of the pool and the live
+byte accounting.
 Cached buffers are handed out read-only; kernels that need to update
 gathered coordinates (``calc_kinematics``'s half-step positions) write into
 their own scratch instead.
@@ -110,16 +112,13 @@ class KernelArena:
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """Check out a scratch buffer of *shape*/*dtype* (contents arbitrary)."""
         st = self.stats
-        st.checkouts += 1
-        key = (shape, np.dtype(dtype))
-        free = self._pool.get(key)
+        free = self._pool.get((shape, np.dtype(dtype)))
         if free:
             buf = free.pop()
+            st.checkouts += 1
             st.bytes_reused += buf.nbytes
             return buf
-        buf = np.empty(shape, dtype=dtype)
-        st.allocations += 1
-        st.bytes_allocated += buf.nbytes
+        buf = self.fresh(shape, dtype)
         if self.reuse:
             # Pooled buffers stay alive for the run; in allocate-each-time
             # mode they are transient, so live/high-water only make sense
@@ -127,6 +126,19 @@ class KernelArena:
             st.live_bytes += buf.nbytes
             if st.live_bytes > st.high_water_bytes:
                 st.high_water_bytes = st.live_bytes
+        return buf
+
+    def fresh(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A newly allocated buffer that never enters the pool.
+
+        Counted as a checkout and an allocation, never as live bytes: the
+        caller owns it and does not :meth:`give` it back.
+        """
+        st = self.stats
+        st.checkouts += 1
+        buf = np.empty(shape, dtype=dtype)
+        st.allocations += 1
+        st.bytes_allocated += buf.nbytes
         return buf
 
     def give(self, buf: np.ndarray) -> None:
@@ -238,13 +250,14 @@ class Workspace:
         is cached under ``(name, lo, hi)`` and revalidated against the
         field's version, so stress and hourglass each see one gather per
         field per partition per iteration.  The cached buffer is read-only.
-        Outside a window the gather is always fresh (and writable).
+        Outside a window the gather is always fresh, writable and owned by
+        the caller: it never enters the arena's pool or live accounting.
         """
         st = self.stats
         st.gathers += 1
         idx = self.mesh.nodelist[lo:hi]
         if not (self.reuse and self._phase_depth > 0):
-            buf = self.arena.take((hi - lo, 8), fieldarr.dtype)
+            buf = self.arena.fresh((hi - lo, 8), fieldarr.dtype)
             np.take(fieldarr, idx, out=buf, mode="clip")
             return buf
         key = (name, lo, hi)

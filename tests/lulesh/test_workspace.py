@@ -5,7 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.partitioning import partition_layout, table1_partition_sizes
 from repro.lulesh.domain import Domain
+from repro.lulesh.kernels import constraints as con_k
+from repro.lulesh.kernels import eos as eos_k
+from repro.lulesh.kernels import hourglass as hg_k
+from repro.lulesh.kernels import kinematics as kin_k
+from repro.lulesh.kernels import nodal as nodal_k
+from repro.lulesh.kernels import qcalc as q_k
+from repro.lulesh.kernels import stress as stress_k
 from repro.lulesh.options import LuleshOptions
 from repro.lulesh.reference import SequentialDriver
 from repro.lulesh.workspace import HEAP, KernelArena, Workspace, WorkspaceStats
@@ -133,6 +141,14 @@ class TestGatherCache:
                 assert ws.gather("x", field, 0, 6) is a
             assert ws.stats.gather_hits == 1
 
+    def test_fresh_gather_stays_out_of_the_pool(self):
+        ws, field = self._ws()
+        a = ws.gather("x", field, 0, 6)
+        assert ws.stats.live_bytes == 0
+        assert ws.stats.high_water_bytes == 0
+        assert ws.stats.allocations == 1
+        assert ws.take((6, 8)) is not a
+
     def test_partitions_cached_separately(self):
         ws, field = self._ws()
         with ws.phase():
@@ -174,6 +190,95 @@ class TestDomainIntegration:
         assert st.high_water_bytes > 0
 
 
+class TestOutOfWindowCalls:
+    def test_repeated_kernel_calls_do_not_grow_the_arena(self):
+        """Kernels called outside any phase window (as the distributed
+        driver calls them) gather into caller-owned buffers: six calls leave
+        the arena's live bytes and high-water mark where the first left
+        them."""
+        domain = Domain(LuleshOptions(nx=8, numReg=1))
+        st = domain.workspace.stats
+        stress_k.integrate_stress(domain, 0, domain.numElem)
+        first = (st.live_bytes, st.high_water_bytes)
+        for _ in range(5):
+            stress_k.integrate_stress(domain, 0, domain.numElem)
+        assert (st.live_bytes, st.high_water_bytes) == first
+
+
+def _call(fn, *args):
+    return fn(*args)
+
+
+def partitioned_step(domain, call=_call):
+    """One leapfrog cycle with every kernel called over the Table I
+    partitions, each phase inside a phase window (as ``steps.py`` orders
+    the full-range calls).  Every kernel call goes through
+    ``call(kernel, *args)``, so a caller can time them."""
+    d = domain
+    nodal_p, elements_p = table1_partition_sizes(d.opts.nx)
+    elems = partition_layout(d.numElem, elements_p)
+    nodes = partition_layout(d.numNode, nodal_p)
+    region_parts = [
+        (lst, d.regions.rep(r), lo, hi)
+        for r, lst in enumerate(d.regions.reg_elem_lists)
+        for lo, hi in partition_layout(len(lst), elements_p)
+    ]
+    ws = d.workspace
+    call(con_k.time_increment, d)
+    dt = d.deltatime
+    with ws.phase():
+        for lo, hi in elems:
+            call(stress_k.init_stress_terms, d, lo, hi)
+            call(stress_k.integrate_stress, d, lo, hi)
+            call(hg_k.calc_hourglass_control, d, lo, hi)
+            call(hg_k.calc_fb_hourglass_force, d, lo, hi)
+        for lo, hi in nodes:
+            call(nodal_k.sum_elem_forces_to_nodes, d, lo, hi)
+            call(nodal_k.calc_acceleration, d, lo, hi)
+        call(nodal_k.apply_acceleration_bc, d)
+        for lo, hi in nodes:
+            call(nodal_k.calc_velocity, d, lo, hi, dt)
+            call(nodal_k.calc_position, d, lo, hi, dt)
+    with ws.phase():
+        for lo, hi in elems:
+            call(kin_k.calc_kinematics, d, lo, hi, dt)
+            call(kin_k.calc_lagrange_elements_part2, d, lo, hi)
+            call(q_k.calc_monotonic_q_gradients, d, lo, hi)
+        for lst, _, lo, hi in region_parts:
+            call(q_k.calc_monotonic_q_region, d, lst, lo, hi)
+        for lo, hi in elems:
+            call(q_k.check_q_stop, d, lo, hi)
+            call(eos_k.apply_material_properties_prologue, d, lo, hi)
+        for lst, rep, lo, hi in region_parts:
+            call(eos_k.eval_eos_region, d, lst, rep, lo, hi)
+        for lo, hi in elems:
+            call(eos_k.update_volumes, d, lo, hi)
+    courant = hydro = 1.0e20
+    with ws.phase():
+        for lst, _, lo, hi in region_parts:
+            courant = min(
+                courant, call(con_k.calc_courant_constraint, d, lst, lo, hi)
+            )
+            hydro = min(hydro, call(con_k.calc_hydro_constraint, d, lst, lo, hi))
+    call(con_k.reduce_time_constraints, d, courant, hydro)
+
+
+def steady_state_peak(step, warmup=3):
+    """Bytes above the baseline traced while one warm *step* runs."""
+    for _ in range(warmup):
+        step()
+    tracemalloc.start()
+    try:
+        step()  # settle tracemalloc's own bookkeeping
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - baseline
+
+
 class TestZeroSteadyStateAllocations:
     def test_steady_state_iteration_allocates_nothing(self):
         """The tentpole guarantee: after warmup, one leapfrog iteration on
@@ -199,6 +304,29 @@ class TestZeroSteadyStateAllocations:
         assert peak - baseline < 24 * 1024, (
             f"steady-state iteration allocated {peak - baseline} bytes"
         )
+
+    def test_partitioned_iteration_allocates_nothing(self):
+        """The same guarantee over the s=20 Table I partitions: element
+        ranges 3 x 2,048 + 1,856 and nodal ranges 4 x 2,048 + 1,069.  NumPy
+        allocates a per-call buffer for some operand layouts only at some
+        shapes, so the full-range case alone does not cover these."""
+        domain = Domain(LuleshOptions(nx=20, numReg=11))
+        assert [hi - lo for lo, hi in partition_layout(domain.numElem, 2048)] \
+            == [2048] * 3 + [1856]
+        assert [hi - lo for lo, hi in partition_layout(domain.numNode, 2048)] \
+            == [2048] * 4 + [1069]
+        grown = steady_state_peak(lambda: partitioned_step(domain))
+        assert grown < 24 * 1024, (
+            f"steady-state partitioned iteration allocated {grown} bytes"
+        )
+        # The partitioned cycles ran every kernel: same state as the
+        # sequential reference after as many cycles.
+        ref = Domain(LuleshOptions(nx=20, numReg=11))
+        driver = SequentialDriver(ref)
+        while ref.cycle < domain.cycle:
+            driver.step()
+        for name, arr in ref.copy_state().items():
+            assert arr.tobytes() == getattr(domain, name).tobytes(), name
 
     def test_allocate_each_time_mode_does_allocate(self):
         """The ablation arm really is allocate-each-time (sanity check)."""
