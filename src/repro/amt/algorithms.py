@@ -50,6 +50,7 @@ def for_loop(
     tag: str = "for_loop",
     blocking: bool = True,
     idempotent: bool = False,
+    desc: Any = None,
 ) -> list[Future]:
     """Parallel loop over ``[start, stop)`` calling ``body(lo, hi)`` per chunk.
 
@@ -57,7 +58,8 @@ def for_loop(
     only after all chunks completed — i.e. it embeds a synchronization
     barrier, which is precisely the behaviour the paper's manual task
     decomposition removes.  ``idempotent`` marks every chunk task safe for
-    bounded replay under a runtime replay policy.
+    bounded replay under a runtime replay policy; every chunk task carries
+    ``desc``.
     """
     if stop < start:
         raise ValueError(f"invalid range [{start}, {stop})")
@@ -79,6 +81,7 @@ def for_loop(
                 cost_ns=int(round(work_ns_per_item * (hi - lo))),
                 tag=f"{tag}[{lo}:{hi}]",
                 idempotent=idempotent,
+                desc=desc,
             )
         )
     if blocking:

@@ -250,6 +250,7 @@ class AmtRuntime:
         depends: Sequence[Future] = (),
         priority: int = 0,
         idempotent: bool = False,
+        desc: Any = None,
     ) -> Future:
         """Create a task running ``fn(*args)``; returns its future.
 
@@ -257,13 +258,15 @@ class AmtRuntime:
         after a non-blocking ``when_all`` barrier); ``priority`` is honoured
         only under a priority-enabled scheduler policy.  ``idempotent``
         declares the body safe to re-execute, making it eligible for
-        bounded replay under a :attr:`replay` policy.  If any dependency
+        bounded replay under a :attr:`replay` policy.  ``desc`` rides on
+        the task untouched (:attr:`SimTask.desc`).  If any dependency
         failed, the task short-circuits and propagates that failure.
         """
         task = SimTask(
             cost_ns=cost_ns,
             tag=tag or getattr(fn, "__name__", "task"),
             priority=priority,
+            desc=desc,
         )
         fut = Future(self, task)
         depends = tuple(depends)
@@ -290,6 +293,7 @@ class AmtRuntime:
         tag: str | None = None,
         priority: int = 0,
         idempotent: bool = False,
+        desc: Any = None,
     ) -> Future:
         """Attach ``fn(parent_future, *args)`` to run after *parent*.
 
@@ -303,6 +307,7 @@ class AmtRuntime:
             cost_ns=cost_ns,
             tag=tag or getattr(fn, "__name__", "then"),
             priority=priority,
+            desc=desc,
         )
         fut = Future(self, task)
         run = self._bind_body(fut, task, lambda: fn(parent, *args), idempotent)
@@ -319,7 +324,9 @@ class AmtRuntime:
         self._register(task, fut)
         return fut
 
-    def when_all(self, futures: Sequence[Future], tag: str = "when_all") -> Future:
+    def when_all(
+        self, futures: Sequence[Future], tag: str = "when_all", desc: Any = None
+    ) -> Future:
         """Non-blocking barrier: a future ready when all *futures* are.
 
         Its value is the list of input futures (HPX's
@@ -330,7 +337,7 @@ class AmtRuntime:
         task's tag (root causes are flattened through nested barriers).
         """
         futures = list(futures)
-        task = SimTask(cost_ns=0, tag=tag)
+        task = SimTask(cost_ns=0, tag=tag, desc=desc)
         fut = Future(self, task)
 
         def body() -> None:

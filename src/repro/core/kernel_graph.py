@@ -1,30 +1,25 @@
-"""Shared kernel metadata: problem shape, work costing, and kernel bindings.
+"""Problem shape for the simulated runs, and the EOS loop structure.
 
-Both orchestrations (OpenMP-structured and task-based) must issue the same
-kernels with the same work — this module is the single source of truth for:
-
-* :class:`ProblemShape` — the sizes the *simulated* runs need (element/node
-  counts, region sizes and repetition factors) without allocating the full
-  physics state, so timing-only experiments scale to s=150;
-* :class:`KernelBinding` — a kernel's simulated work rate plus its (optional)
-  real NumPy body over an index range.
-
-A binding's body is ``None`` in timing-only mode; the orchestration layers
-attach costs either way, so "execute" and "simulate" runs traverse identical
-structures.
+:class:`ProblemShape` holds the sizes the *simulated* runs need (element
+and node counts, region sizes and repetition factors) without allocating
+the full physics state, so timing-only experiments scale to s=150.  What
+each kernel is — its body, cost key, temporaries and idempotency — lives
+in the kernel catalogue, :mod:`repro.lulesh.catalogue`, which every
+orchestration reads; "execute" and "simulate" runs traverse identical
+structures because the catalogue bodies are simply not called in
+timing-only mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts, iteration_work_ns
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 from repro.lulesh.regions import RegionSet
 
-__all__ = ["ProblemShape", "KernelBinding", "EOS_LOOPS_PER_REP"]
+__all__ = ["ProblemShape", "EOS_LOOPS_PER_REP"]
 
 # The reference's EvalEOSForElems + CalcEnergyForElems issue ~16 separate
 # parallel loops per repetition (gathers, compression, three pressure
@@ -89,42 +84,3 @@ class ProblemShape:
         return iteration_work_ns(
             costs, self.num_elem, self.num_node, self.region_sizes, self.region_reps
         )
-
-
-@dataclass(frozen=True)
-class KernelBinding:
-    """One kernel: a name, a simulated work rate, and an optional real body.
-
-    ``body(lo, hi)`` runs the NumPy kernel over the index range; ``rate`` is
-    the simulated ns-per-item charged by either runtime.
-    """
-
-    name: str
-    rate: float
-    body: Callable[[int, int], object] | None
-
-    def cost_ns(self, lo: int, hi: int) -> int:
-        """Simulated work for ``[lo, hi)``."""
-        return int(round(self.rate * (hi - lo)))
-
-    def run(self, lo: int, hi: int) -> None:
-        """Execute the real body if bound (no-op in timing-only mode)."""
-        if self.body is not None:
-            self.body(lo, hi)
-
-
-def bind(
-    name: str,
-    rate: float,
-    fn: Callable[..., object] | None,
-    *args: object,
-) -> KernelBinding:
-    """Create a binding whose body is ``fn(*args, lo, hi)`` (or None)."""
-    if fn is None:
-        return KernelBinding(name, rate, None)
-    return KernelBinding(name, rate, lambda lo, hi: fn(*args, lo, hi))
-
-
-def group_cost_ns(bindings: Sequence[KernelBinding], lo: int, hi: int) -> int:
-    """Summed simulated work of several kernels over one range."""
-    return sum(b.cost_ns(lo, hi) for b in bindings)

@@ -27,20 +27,10 @@ from repro.amt.algorithms import for_loop
 from repro.amt.graph import GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime
 from repro.core.kernel_graph import EOS_LOOPS_PER_REP, ProblemShape
+from repro.lulesh.catalogue import KERNELS
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels import eos as eos_k
-from repro.lulesh.kernels import hourglass as hg_k
-from repro.lulesh.kernels import kinematics as kin_k
-from repro.lulesh.kernels import nodal as nodal_k
-from repro.lulesh.kernels import qcalc as q_k
-from repro.lulesh.kernels import stress as stress_k
-from repro.lulesh.kernels.constraints import (
-    calc_courant_constraint,
-    calc_hydro_constraint,
-    reduce_time_constraints,
-    time_increment,
-)
+from repro.lulesh.kernels.constraints import reduce_time_constraints, time_increment
 
 __all__ = ["naive_iteration", "NaiveHpxProgram"]
 
@@ -92,124 +82,90 @@ def naive_iteration(
     if state is None:
         state = _NaiveCycleState(shape.num_regions)
 
-    def body(fn, *args):
-        if d is None:
-            return lambda lo, hi: None
-        return lambda lo, hi: fn(d, *args, lo, hi)
+    def loop(n, name, tag=None, rate=None, body=None, r=-1):
+        """One blocking loop over ``[0, n)`` running catalogue kernel *name*.
 
-    def loop(n, fn_body, rate, tag, idempotent=False):
+        *tag* defaults to the kernel name and *rate* to its cost-table
+        rate; *body* replaces the kernel's own chunk body.
+        """
+        k = KERNELS[name]
+        if rate is None:
+            rate = k.rate(c)
+        if d is None:
+            body = _skip
+        elif body is None:
+            body = lambda lo, hi: k.body(d, lo, hi, r, 0)
         # Loop-at-a-time structure: the reuse working set is the full loop
         # footprint (same streaming behaviour as the OpenMP reference).
         rate = rate * rt.cost_model.stream_penalty(n, rate, rt.n_workers)
-        for_loop(rt, 0, n, fn_body, work_ns_per_item=rate, tag=tag,
-                 idempotent=idempotent)
+        for_loop(rt, 0, n, body, work_ns_per_item=rate, tag=tag or name,
+                 idempotent=k.idempotent, desc=(name,))
 
-    # LagrangeNodal (fresh-write loops are replay-safe; the velocity and
-    # position integrations accumulate in place and are not)
-    loop(nn, body(_zero_forces), c.zero_forces, "zero_forces", idempotent=True)
-    loop(ne, body(stress_k.init_stress_terms), c.init_stress, "init_stress",
-         idempotent=True)
-    loop(ne, body(stress_k.integrate_stress), c.integrate_stress,
-         "integrate_stress", idempotent=True)
-    loop(nn, lambda lo, hi: None, c.sum_forces * 0.5, "collect_stress",
-         idempotent=True)
-    loop(ne, body(hg_k.calc_hourglass_control), c.hourglass_control, "hg_control",
-         idempotent=True)
-    loop(ne, body(hg_k.calc_fb_hourglass_force), c.fb_hourglass, "fb_hourglass",
-         idempotent=True)
-    loop(nn, body(nodal_k.sum_elem_forces_to_nodes), c.sum_forces * 0.5,
-         "collect_hg", idempotent=True)
-    loop(nn, body(nodal_k.calc_acceleration), c.acceleration, "acceleration",
-         idempotent=True)
+    # LagrangeNodal; the force sum is split over two half-cost loops, and
+    # only the second runs it
+    half_sum = KERNELS["sum_forces"].rate(c) * 0.5
+    loop(nn, "zero_forces")
+    loop(ne, "init_stress")
+    loop(ne, "integrate_stress")
+    loop(nn, "sum_forces", "collect_stress", half_sum, _skip)
+    loop(ne, "hg_control")
+    loop(ne, "fb_hourglass")
+    loop(nn, "sum_forces", "collect_hg", half_sum)
+    loop(nn, "acceleration")
 
     def bc_body(lo: int, hi: int) -> None:
-        if d is not None and not state.bc_done:
-            nodal_k.apply_acceleration_bc(d)
+        if not state.bc_done:
+            KERNELS["accel_bc"].body(d, lo, hi, -1, 0)
             state.bc_done = True
 
     for _ in range(3):
-        loop(shape.num_symm_nodes, bc_body, c.accel_bc, "accel_bc",
-             idempotent=True)
-    # dt is read from the domain at execution time (replay-safe binding).
-    loop(nn, body(_velocity), c.velocity, "velocity")
-    loop(nn, body(_position), c.position, "position")
+        loop(shape.num_symm_nodes, "accel_bc", body=bc_body)
+    loop(nn, "velocity")
+    loop(nn, "position")
 
-    # LagrangeElements (strain_rates subtracts in place — not replay-safe)
-    loop(ne, body(_kinematics), c.kinematics, "kinematics", idempotent=True)
-    loop(ne, body(kin_k.calc_lagrange_elements_part2), c.strain_rates, "strain_rates")
-    loop(ne, body(q_k.calc_monotonic_q_gradients), c.monoq_gradients, "q_gradients",
-         idempotent=True)
+    # LagrangeElements
+    loop(ne, "kinematics")
+    loop(ne, "strain_rates")
+    loop(ne, "monoq_gradients", "q_gradients")
     for r in range(shape.num_regions):
-        loop(
-            shape.region_sizes[r],
-            body(_monoq_region, r),
-            c.monoq_region,
-            f"monoq[{r}]",
-            idempotent=True,
-        )
-    loop(ne, body(q_k.check_q_stop), c.qstop_check, "qstop_check", idempotent=True)
-    loop(ne, body(eos_k.apply_material_properties_prologue), c.material_prologue,
-         "prologue", idempotent=True)
+        loop(shape.region_sizes[r], "monoq_region", f"monoq[{r}]", r=r)
+    loop(ne, "qstop_check")
+    loop(ne, "material_prologue", "prologue")
+    eos = KERNELS["eos"]
     for r in range(shape.num_regions):
         rep = shape.region_reps[r]
         size = shape.region_sizes[r]
 
-        def eos_body(lo: int, hi: int, r=r, rep=rep) -> None:
-            if d is not None and not state.eos_done[r]:
-                eos_k.eval_eos_region(d, d.regions.reg_elem_lists[r], rep)
+        def eos_body(lo: int, hi: int, r=r, rep=rep, size=size) -> None:
+            if not state.eos_done[r]:
+                eos.body(d, 0, size, r, rep)
                 state.eos_done[r] = True
 
-        per_loop_rate = c.eos_eval / EOS_LOOPS_PER_REP
+        per_loop_rate = eos.rate(c) / EOS_LOOPS_PER_REP
         for _ in range(rep * EOS_LOOPS_PER_REP):
-            loop(size, eos_body, per_loop_rate, f"eos[{r}]")
-    loop(ne, body(eos_k.update_volumes), c.update_volumes, "update_volumes",
-         idempotent=True)
+            loop(size, "eos", f"eos[{r}]", per_loop_rate, eos_body)
+    loop(ne, "update_volumes")
 
     # Constraints
+    courant, hydro = KERNELS["courant"], KERNELS["hydro"]
     for r in range(shape.num_regions):
         size = shape.region_sizes[r]
 
         def courant_body(lo: int, hi: int, r=r) -> None:
-            if d is not None:
-                state.courant = min(
-                    state.courant,
-                    calc_courant_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-                )
+            state.courant = min(state.courant, courant.body(d, lo, hi, r, 0))
 
         def hydro_body(lo: int, hi: int, r=r) -> None:
-            if d is not None:
-                state.hydro = min(
-                    state.hydro,
-                    calc_hydro_constraint(d, d.regions.reg_elem_lists[r], lo, hi),
-                )
+            state.hydro = min(state.hydro, hydro.body(d, lo, hi, r, 0))
 
-        loop(size, courant_body, c.courant, f"courant[{r}]", idempotent=True)
-        loop(size, hydro_body, c.hydro, f"hydro[{r}]", idempotent=True)
+        loop(size, "courant", f"courant[{r}]", body=courant_body)
+        loop(size, "hydro", f"hydro[{r}]", body=hydro_body)
     if standalone and d is not None:
         reduce_time_constraints(d, state.courant, state.hydro)
     return state
 
 
-def _zero_forces(domain, lo: int, hi: int) -> None:
-    domain.fx[lo:hi] = 0.0
-    domain.fy[lo:hi] = 0.0
-    domain.fz[lo:hi] = 0.0
-
-
-def _monoq_region(domain, r: int, lo: int, hi: int) -> None:
-    q_k.calc_monotonic_q_region(domain, domain.regions.reg_elem_lists[r], lo, hi)
-
-
-def _velocity(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_velocity_dt(domain, domain.deltatime, lo, hi)
-
-
-def _position(domain, lo: int, hi: int) -> None:
-    nodal_k.calc_position_dt(domain, domain.deltatime, lo, hi)
-
-
-def _kinematics(domain, lo: int, hi: int) -> None:
-    kin_k.calc_kinematics_dt(domain, domain.deltatime, lo, hi)
+def _skip(lo: int, hi: int) -> None:
+    return None
 
 
 class NaiveHpxProgram:

@@ -37,11 +37,13 @@ class _RegionProbe:
     """Duck-typed stand-in for a task handed to the fault injector.
 
     OpenMP has no tasks, so fault injection happens at parallel-region
-    granularity: the region name plays the task tag, and a ``stall`` fault's
-    cost inflation lands on the region's elapsed time.
+    granularity: the region name plays the task tag, the names of the
+    kernels the region runs play the task descriptor, and a ``stall``
+    fault's cost inflation lands on the region's elapsed time.
     """
 
     tag: str
+    desc: tuple[str, ...] = ()
     cost_ns: int = 0
 
 
@@ -123,17 +125,21 @@ class OmpRuntime:
     # --- structure ------------------------------------------------------------
 
     @contextmanager
-    def parallel_region(self, name: str = "region") -> Iterator[None]:
+    def parallel_region(
+        self, name: str = "region", kernels: tuple[str, ...] = ()
+    ) -> Iterator[None]:
         """A ``#pragma omp parallel`` region; fork charged at entry.
 
         Loops issued inside share the fork; each still ends in an implicit
         barrier.  Regions cannot nest (LULESH does not nest them).
+        *kernels* names the kernels the region runs, for the fault
+        injector.
         """
         if self._in_region:
             raise RuntimeError("parallel regions cannot nest")
         stall_ns = 0
         if self.fault_injector is not None:
-            probe = _RegionProbe(tag=name)
+            probe = _RegionProbe(tag=name, desc=kernels)
             fire = self.fault_injector.draw_task(probe)
             stall_ns = probe.cost_ns
             if fire is not None:

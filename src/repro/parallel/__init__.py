@@ -27,15 +27,12 @@ from repro.parallel.errors import (
     WorkerHangError,
 )
 from repro.parallel.plan import (
-    KERNEL_BODIES,
-    KERNEL_IDEMPOTENT,
     ParallelSchedule,
     TaskSpec,
     Wave,
     assign_waves,
     execute_spec,
     lower_template,
-    parse_task_tag,
     spec_is_idempotent,
 )
 from repro.parallel.pool import (
@@ -43,7 +40,7 @@ from repro.parallel.pool import (
     pick_start_method,
     process_backend_supported,
 )
-from repro.parallel.shadow import NON_IDEMPOTENT_WRITES, WaveShadow
+from repro.parallel.shadow import WaveShadow
 from repro.parallel.shm import SharedDomainArena, domain_field_layout
 from repro.parallel.supervisor import (
     SupervisionConfig,
@@ -53,9 +50,6 @@ from repro.parallel.supervisor import (
 
 __all__ = [
     "GarbledReplyError",
-    "KERNEL_BODIES",
-    "KERNEL_IDEMPOTENT",
-    "NON_IDEMPOTENT_WRITES",
     "ParallelBackendError",
     "ParallelHpxBackend",
     "ParallelSchedule",
@@ -77,7 +71,6 @@ __all__ = [
     "domain_field_layout",
     "execute_spec",
     "lower_template",
-    "parse_task_tag",
     "pick_start_method",
     "process_backend_supported",
     "spec_is_idempotent",

@@ -17,8 +17,8 @@ before a retry.  Idempotent specs need no shadow — re-running them from
 current state reproduces identical bytes — so waves made entirely of them
 (the common case: stress, hourglass, force, acceleration waves) capture
 nothing and carry zero overhead.  Which kernels are non-idempotent, and
-which fields they write, mirrors ``HpxLuleshProgram``'s per-kernel
-``idempotent`` flags via :data:`repro.parallel.plan.KERNEL_IDEMPOTENT`.
+which fields they rewrite, is the kernel catalogue's ``in_place`` field
+(:mod:`repro.lulesh.catalogue`).
 
 Within one wave the non-idempotent slices are disjoint (wave tasks are
 independent), so snapshots never overlap and restore order is irrelevant.
@@ -28,23 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.plan import _EOS_RE, ParallelSchedule, Wave, spec_is_idempotent
+from repro.parallel.plan import ParallelSchedule, Wave, spec_is_idempotent
 
-__all__ = ["NON_IDEMPOTENT_WRITES", "WaveShadow"]
-
-#: Field write-sets of the non-idempotent kernels — exactly the arrays each
-#: kernel stores to (``repro.lulesh.kernels``): ``velocity`` updates the
-#: nodal velocities in place, ``position`` the nodal coordinates,
-#: ``strain_rates`` rewrites ``vdov`` and deviatorizes ``dxx/dyy/dzz`` in
-#: place, and the region-scattered ``eos`` rewrites pressure/energy/q and
-#: the sound speed.  ``[lo, hi)`` indexes nodes for the first two and
-#: elements for the rest.
-NON_IDEMPOTENT_WRITES = {
-    "velocity": ("xd", "yd", "zd"),
-    "position": ("x", "y", "z"),
-    "strain_rates": ("vdov", "dxx", "dyy", "dzz"),
-    "eos": ("e", "p", "q", "ss"),
-}
+__all__ = ["WaveShadow"]
 
 
 class WaveShadow:
@@ -65,23 +51,18 @@ class WaveShadow:
             spec = schedule.specs[si]
             if spec_is_idempotent(spec):
                 continue
-            if spec.kind == "kernels":
-                for nm in spec.names:
-                    fields = NON_IDEMPOTENT_WRITES.get(nm)
-                    if not fields:
-                        continue
-                    for f in fields:
-                        arr = getattr(domain, f)
-                        slabs.append((f, spec.lo, spec.hi, arr[spec.lo : spec.hi].copy()))
-            elif spec.kind == "region":
+            if spec.kind == "region":
                 lst = domain.regions.reg_elem_lists[spec.region]
                 index = np.array(lst[spec.lo : spec.hi])
-                for nm in spec.names:
-                    if not _EOS_RE.match(nm):
-                        continue  # monoq_region is idempotent
-                    for f in NON_IDEMPOTENT_WRITES["eos"]:
-                        arr = getattr(domain, f)
+            for k in spec.kernels:
+                for f in k.in_place:
+                    arr = getattr(domain, f)
+                    if spec.kind == "region":
                         scatters.append((f, index, arr[index].copy()))
+                    else:
+                        slabs.append(
+                            (f, spec.lo, spec.hi, arr[spec.lo : spec.hi].copy())
+                        )
         if not slabs and not scatters:
             return None
         return cls(slabs, scatters)

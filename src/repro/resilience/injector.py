@@ -9,12 +9,13 @@ grammar)::
   :class:`~repro.dist.comm.PlaneExchanger` message), ``field`` (an
   evolving domain array), or ``worker`` (a real worker *process* of the
   process backend);
-* ``pattern`` — what to match: a task-tag glob for ``task``, a message-tag
-  glob for ``comm``, a field name (``e``, ``p``, ``xd``, …) for ``field``,
-  a pool index or ``*`` for ``worker``.
-  Task patterns also accept the reference implementation's kernel names
-  (``CalcQ*``, ``EvalEOS*``, …) via an alias table mapping them onto the
-  tag fragments our three ports actually use;
+* ``pattern`` — what to match: a glob for ``task``, a message-tag glob
+  for ``comm``, a field name (``e``, ``p``, ``xd``, …) for ``field``, a
+  pool index or ``*`` for ``worker``.  A task pattern matches a task (or
+  an OpenMP parallel region) when it globs its tag, or any LULESH 2.0
+  function name on the call path of a kernel the task runs
+  (:mod:`repro.lulesh.catalogue`): ``CalcQ*`` strikes every task running
+  Q code, ``EvalEOS*`` every task running the EOS, on all three ports;
 * ``kind`` — how to fail: ``raise`` (task throws :class:`InjectedFault`),
   ``stall`` (inflate the task's simulated cost — a hung worker),
   ``nan``/``inf`` (corrupt one element of a field), ``drop``/``dup``
@@ -43,6 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from repro.lulesh.catalogue import kernels_of
 from repro.resilience.errors import FaultSpecError, InjectedFault
 from repro.resilience.stats import ResilienceStats
 from repro.util.rng import Lcg
@@ -66,27 +68,6 @@ _DEFAULT_KIND = {
     "field": "nan",
     "worker": "kill",
 }
-
-# Reference-implementation kernel names → tag fragments of our three ports
-# (hpx chains like "region3:monoq_region+eos[x1][lo:hi]", naive tags like
-# "monoq[3][lo:hi]", omp region names like "MonotonicQRegion[3]").  A task
-# pattern matches if it fnmatch-matches the tag directly OR any fragment of
-# its alias expansion occurs in the tag.
-_TAG_ALIASES: dict[str, tuple[str, ...]] = {
-    "CalcQ": ("monoq", "qstop_check", "MonotonicQ", "QStop"),
-    "CalcMonotonicQ": ("monoq", "MonotonicQ"),
-    "CalcForceForNodes": ("stress", "hourglass", "Force"),
-    "IntegrateStressForElems": ("integrate_stress", "IntegrateStress"),
-    "CalcFBHourglassForce": ("hourglass", "Hourglass"),
-    "CalcKinematics": ("kin", "Kinematics"),
-    "CalcLagrangeElements": ("kin", "strain", "Lagrange"),
-    "EvalEOSForElems": ("eos", "EvalEOS", "EOS"),
-    "CalcEnergyForElems": ("eos", "EvalEOS", "EOS"),
-    "ApplyMaterialProperties": ("prologue", "Material"),
-    "UpdateVolumesForElems": ("update_volumes", "UpdateVolumes", "prologue"),
-    "CalcTimeConstraints": ("constraints", "TimeConstraints"),
-}
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -149,15 +130,16 @@ def parse_fault_spec(text: str) -> FaultSpec:
     return FaultSpec(target=target, pattern=pattern, kind=kind, cycle=cycle)
 
 
-def _tag_matches(pattern: str, tag: str) -> bool:
-    """True if *pattern* (glob or reference-kernel alias) matches *tag*."""
-    if fnmatch.fnmatchcase(tag, pattern):
+def _task_matches(pattern: str, task) -> bool:
+    """True if *pattern* globs *task*'s tag or a reference function name
+    of a kernel it runs (its ``desc``)."""
+    if fnmatch.fnmatchcase(task.tag, pattern):
         return True
-    base = pattern.rstrip("*")
-    for frag in _TAG_ALIASES.get(base, ()):
-        if frag in tag:
-            return True
-    return False
+    return any(
+        fnmatch.fnmatchcase(name, pattern)
+        for k in kernels_of(task.desc)
+        for name in k.ref
+    )
 
 
 class _Armed:
@@ -268,7 +250,7 @@ class FaultInjector:
         for armed in self._armed:
             if armed.spec.target != "task" or not armed.live(self._cycle):
                 continue
-            if not _tag_matches(armed.spec.pattern, task.tag):
+            if not _task_matches(armed.spec.pattern, task):
                 continue
             if armed.spec.kind == "stall":
                 armed.consume()

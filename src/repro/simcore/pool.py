@@ -62,6 +62,9 @@ class SimTask:
         priority: reserved — the paper does not use task priorities, and the
             default pool ignores this field, but it is part of the scheduler
             surface (HPX's policy supports it).
+        desc: what the task does, for the layers above the runtime (the
+            process-backend lowering, the fault injector); the runtime
+            never looks inside it.
     """
 
     __slots__ = (
@@ -69,6 +72,7 @@ class SimTask:
         "cost_ns",
         "body",
         "tag",
+        "desc",
         "spawn_ns",
         "priority",
         "dependents",
@@ -86,6 +90,7 @@ class SimTask:
         tag: str = "task",
         spawn_ns: int | None = None,
         priority: int = 0,
+        desc: object = None,
     ) -> None:
         if cost_ns < 0:
             raise ValueError(f"cost_ns must be non-negative, got {cost_ns}")
@@ -93,6 +98,7 @@ class SimTask:
         self.cost_ns = cost_ns
         self.body = body
         self.tag = tag
+        self.desc = desc
         self.spawn_ns = spawn_ns
         self.priority = priority
         self.dependents: list[SimTask] = []

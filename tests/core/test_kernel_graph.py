@@ -1,8 +1,6 @@
-"""Unit tests for shared kernel metadata / problem shapes."""
+"""Unit tests for problem shapes."""
 
-import pytest
-
-from repro.core.kernel_graph import KernelBinding, ProblemShape, bind, group_cost_ns
+from repro.core.kernel_graph import ProblemShape
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 
@@ -32,31 +30,3 @@ class TestProblemShape:
         small = ProblemShape.from_options(LuleshOptions(nx=4, numReg=2))
         big = ProblemShape.from_options(LuleshOptions(nx=8, numReg=2))
         assert 0 < small.iteration_work_ns() < big.iteration_work_ns()
-
-
-class TestKernelBinding:
-    def test_cost_rounds(self):
-        kb = KernelBinding("k", rate=1.5, body=None)
-        assert kb.cost_ns(0, 3) == 4  # round(4.5) banker's -> 4
-
-    def test_run_noop_without_body(self):
-        KernelBinding("k", 1.0, None).run(0, 10)
-
-    def test_run_with_body(self):
-        seen = []
-        kb = KernelBinding("k", 1.0, lambda lo, hi: seen.append((lo, hi)))
-        kb.run(2, 5)
-        assert seen == [(2, 5)]
-
-    def test_bind_appends_range(self):
-        calls = []
-        kb = bind("k", 1.0, lambda a, lo, hi: calls.append((a, lo, hi)), "ctx")
-        kb.run(1, 4)
-        assert calls == [("ctx", 1, 4)]
-
-    def test_bind_none_fn(self):
-        assert bind("k", 1.0, None).body is None
-
-    def test_group_cost(self):
-        ks = [KernelBinding("a", 2.0, None), KernelBinding("b", 3.0, None)]
-        assert group_cost_ns(ks, 0, 10) == 50

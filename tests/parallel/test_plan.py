@@ -1,51 +1,58 @@
-"""Unit tests for tag parsing and template lowering (:mod:`repro.parallel.plan`)."""
+"""Unit tests for task descriptors and template lowering (:mod:`repro.parallel.plan`)."""
+
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from repro.lulesh.catalogue import KERNELS
 from repro.parallel import (
-    KERNEL_BODIES,
     ParallelSchedule,
     PlanLoweringError,
     TaskSpec,
     Wave,
     assign_waves,
     lower_template,
-    parse_task_tag,
 )
+from repro.simcore.pool import SimTask
 from tests.parallel.conftest import make_execute_program
 
 
+def template_of(*tasks: SimTask):
+    """A one-segment stand-in for a captured template."""
+    seg = SimpleNamespace(tasks=list(tasks), costs=[t.cost_ns for t in tasks])
+    return SimpleNamespace(segments=[seg])
+
+
 class TestParseTaskTag:
+    """A task's tag is a rendering of its descriptor; lowering reads the
+    descriptor, never the tag."""
+
     def test_work_tag(self):
-        spec = parse_task_tag("stress:init_stress+integrate_stress[0:64]")
-        assert spec.kind == "kernels"
-        assert spec.names == ("init_stress", "integrate_stress")
-        assert (spec.lo, spec.hi) == (0, 64)
+        spec = TaskSpec("kernels", ("init_stress", "integrate_stress"), 0, 64)
+        assert spec.tag("stress") == "stress:init_stress+integrate_stress[0:64]"
+        assert [k.name for k in spec.kernels] == list(spec.names)
 
     def test_single_kernel_work_tag(self):
-        spec = parse_task_tag("node:acceleration[128:256]")
-        assert spec.kind == "kernels"
-        assert spec.names == ("acceleration",)
+        spec = TaskSpec("kernels", ("acceleration",), 128, 256)
+        assert spec.tag("node") == "node:acceleration[128:256]"
 
     def test_region_monoq_tag(self):
-        spec = parse_task_tag("region3:monoq_region[0:40]")
-        assert spec.kind == "region"
-        assert spec.region == 3
-        assert spec.names == ("monoq_region",)
+        spec = TaskSpec("region", ("monoq_region",), 0, 40, region=3)
+        assert spec.tag() == "region3:monoq_region[0:40]"
 
     def test_region_eos_tag_carries_rep(self):
-        spec = parse_task_tag("region7:eos[x11][0:40]")
-        assert spec.kind == "region"
-        assert (spec.region, spec.rep) == (7, 11)
+        spec = TaskSpec("region", ("eos",), 0, 40, region=7, rep=11)
+        assert spec.tag() == "region7:eos[x11][0:40]"
 
     def test_constraints_tag(self):
-        spec = parse_task_tag("constraints[2][10:20]")
-        assert spec.kind == "constraints"
-        assert (spec.region, spec.lo, spec.hi) == (2, 10, 20)
+        spec = TaskSpec("constraints", lo=10, hi=20, region=2)
+        assert spec.tag() == "constraints[2][10:20]"
+        assert [k.name for k in spec.kernels] == ["courant", "hydro"]
 
     def test_bc_and_reduce_tags(self):
-        assert parse_task_tag("accel_bc").kind == "bc"
-        assert parse_task_tag("reduce_dt").kind == "reduce"
+        assert TaskSpec("bc").tag() == "accel_bc"
+        assert TaskSpec("reduce").tag() == "reduce_dt"
 
     @pytest.mark.parametrize(
         "tag",
@@ -53,7 +60,10 @@ class TestParseTaskTag:
          "ready", "exceptional"],
     )
     def test_sync_tags(self, tag):
-        assert parse_task_tag(tag).kind == "sync"
+        sync = TaskSpec("sync")
+        assert sync.tag(tag) == tag
+        schedule = lower_template(template_of(SimTask(0, tag=tag, desc=sync)))
+        assert schedule.specs == () and schedule.waves == ()
 
     @pytest.mark.parametrize(
         "tag",
@@ -61,8 +71,9 @@ class TestParseTaskTag:
          "constraints[0:4]", "stress:init_stress[0:"],
     )
     def test_unknown_tags_raise(self, tag):
-        with pytest.raises(PlanLoweringError):
-            parse_task_tag(tag)
+        """A task without a descriptor cannot be lowered, whatever its tag."""
+        with pytest.raises(PlanLoweringError, match="no task descriptor"):
+            lower_template(template_of(SimTask(10, tag=tag)))
 
 
 class TestLowerTemplate:
@@ -110,7 +121,7 @@ class TestLowerTemplate:
         edges_checked = 0
         for seg in program._template.segments:
             for task in seg.tasks:
-                if parse_task_tag(task.tag).kind == "sync":
+                if task.desc.kind == "sync":
                     spec_of_task[id(task)] = None
                     continue
                 spec_of_task[id(task)] = pos
@@ -123,8 +134,29 @@ class TestLowerTemplate:
         assert pos == len(schedule.specs)
         assert edges_checked > 0
 
+    def test_captured_tags_render_their_descriptors(self, lowered):
+        program, _schedule = lowered
+        for seg in program._template.segments:
+            for task in seg.tasks:
+                if task.desc.kind == "sync":
+                    label = task.tag  # a barrier's tag is its whole label
+                else:
+                    label = task.tag.split(":")[0]
+                assert task.desc.tag(label) == task.tag
+
+    def test_work_task_without_descriptor_raises(self):
+        program = make_execute_program(nx=4, num_reg=3, partition=32)
+        program.step()
+        task = next(
+            t for seg in program._template.segments for t in seg.tasks
+            if t.desc.kind == "kernels"
+        )
+        task.desc = None
+        with pytest.raises(PlanLoweringError, match=re.escape(task.tag)):
+            lower_template(program._template)
+
     def test_kernel_bodies_cover_work_vocabulary(self):
-        assert set(KERNEL_BODIES) >= {
+        assert set(KERNELS) >= {
             "init_stress", "integrate_stress", "hg_control", "fb_hourglass",
             "zero_forces", "sum_forces", "acceleration", "velocity",
             "position", "kinematics", "strain_rates", "monoq_gradients",

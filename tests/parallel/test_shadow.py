@@ -9,18 +9,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.lulesh.catalogue import KERNELS
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 from repro.parallel.plan import (
-    KERNEL_IDEMPOTENT,
     ParallelSchedule,
     TaskSpec,
     Wave,
     spec_is_idempotent,
 )
-from repro.parallel.shadow import NON_IDEMPOTENT_WRITES, WaveShadow
+from repro.parallel.shadow import WaveShadow
 
-from tests.parallel.conftest import make_execute_program
+EOS_FIELDS = KERNELS["eos"].in_place
 
 
 def make_domain(nx: int = 4, num_reg: int = 3) -> Domain:
@@ -35,24 +35,6 @@ def schedule_of(*specs: TaskSpec) -> tuple[ParallelSchedule, Wave]:
 # --- idempotency classification ---------------------------------------------
 
 
-def test_kernel_idempotent_matches_program_bindings():
-    """The plan's table mirrors HpxLuleshProgram's per-kernel flags."""
-    program = make_execute_program(nx=4, num_reg=3)
-    bound = {}
-    for group in (
-        program._k_stress,
-        program._k_hg,
-        program._k_nodesum,
-        program._k_velpos,
-        program._k_kin,
-        program._k_prologue,
-    ):
-        for kernel in group:
-            bound[kernel.name] = kernel.idempotent
-    for name, flag in bound.items():
-        assert KERNEL_IDEMPOTENT[name] == flag, name
-
-
 def test_spec_is_idempotent_combined_and_region():
     assert spec_is_idempotent(
         TaskSpec("kernels", names=("init_stress", "integrate_stress"))
@@ -63,16 +45,11 @@ def test_spec_is_idempotent_combined_and_region():
     )
     assert not spec_is_idempotent(TaskSpec("kernels", names=("velocity",)))
     assert not spec_is_idempotent(
-        TaskSpec("region", names=("monoq_region", "eos[x7]"), region=0)
+        TaskSpec("region", names=("monoq_region", "eos"), region=0, rep=7)
     )
     assert spec_is_idempotent(TaskSpec("region", names=("monoq_region",), region=0))
     for kind in ("constraints", "bc", "reduce", "sync"):
         assert spec_is_idempotent(TaskSpec(kind))
-
-
-def test_non_idempotent_write_sets_cover_all_flagged_kernels():
-    flagged = {k for k, v in KERNEL_IDEMPOTENT.items() if not v}
-    assert flagged == set(NON_IDEMPOTENT_WRITES)
 
 
 # --- capture / restore -------------------------------------------------------
@@ -108,24 +85,24 @@ def test_shadow_restores_slab_slices_bit_exactly():
 def test_shadow_restores_eos_scatter_bit_exactly():
     d = make_domain()
     rng = np.random.default_rng(11)
-    for f in NON_IDEMPOTENT_WRITES["eos"]:
+    for f in EOS_FIELDS:
         getattr(d, f)[:] = rng.normal(size=d.e.size)
     lst = d.regions.reg_elem_lists[1]
     lo, hi = 0, min(9, len(lst))
     sched, wave = schedule_of(
         TaskSpec(
-            "region", names=("monoq_region", "eos[x1]"), lo=lo, hi=hi,
+            "region", names=("monoq_region", "eos"), lo=lo, hi=hi,
             region=1, rep=1,
         )
     )
-    before = {f: getattr(d, f).copy() for f in NON_IDEMPOTENT_WRITES["eos"]}
+    before = {f: getattr(d, f).copy() for f in EOS_FIELDS}
     shadow = WaveShadow.capture(d, sched, wave)
     assert shadow is not None
     idx = np.array(lst[lo:hi])
-    for f in NON_IDEMPOTENT_WRITES["eos"]:
+    for f in EOS_FIELDS:
         getattr(d, f)[idx] = -4.5
     shadow.restore(d)
-    for f in NON_IDEMPOTENT_WRITES["eos"]:
+    for f in EOS_FIELDS:
         assert (getattr(d, f) == before[f]).all()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.lulesh.catalogue import TaskSpec
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 from repro.resilience import (
@@ -115,12 +116,13 @@ class TestTaskFaults:
         assert inj.draw_task(_task("kin[0:8]")) is None
 
     def test_reference_kernel_alias_matches_port_tags(self):
-        # the paper-facing name CalcQ* must reach our ports' actual tags
+        # the paper-facing name CalcQ* must reach the task running Q code
         inj = FaultInjector(["task:CalcQ*@1"], seed=0)
         inj.begin_cycle(1)
-        fire = inj.draw_task(
-            _task("kin:kinematics+strain_rates+monoq_gradients[0:2048]")
-        )
+        names = ("kinematics", "strain_rates", "monoq_gradients")
+        task = _task("kin:kinematics+strain_rates+monoq_gradients[0:2048]")
+        task.desc = TaskSpec("kernels", names, 0, 2048)
+        fire = inj.draw_task(task)
         assert fire is not None
 
     def test_persistent_fault_keeps_firing(self):
