@@ -44,9 +44,10 @@ class TestFailurePath:
         assert "failed task tags:" in err
         assert "monoq" in err  # CalcQ* resolved onto the port's real tag
 
-    def test_failure_still_exports_counters(self, capsys, tmp_path):
+    @pytest.mark.parametrize("impl", ["hpx", "naive", "omp"])
+    def test_failure_still_exports_counters(self, capsys, tmp_path, impl):
         out = tmp_path / "counters.json"
-        code = main(_BASE + _FAULT + ["--counters", str(out)])
+        code = main(_BASE + _FAULT + ["--impl", impl, "--counters", str(out)])
         assert code == EXIT_TASK_FAILURE
         counters = json.loads(out.read_text())["counters"]
         samples = counters["/resilience/injected-faults"]["samples"]
