@@ -455,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a deterministic fault: 'target:pattern[:kind][@cycle]' "
              "with targets task/comm/field/worker and kinds raise/stall/"
              "drop/dup/nan/inf/kill/hang/garble, e.g. 'task:CalcQ*', "
-             "'field:e:nan@3' or 'worker:0:kill@3' (repeatable)",
+             "'field:e:nan@3' or 'worker:0:kill@3' (repeatable); a task "
+             "pattern globs the task tag or the LULESH 2.0 function names "
+             "of the kernels the task runs",
     )
     parser.add_argument(
         "--fault-seed",
