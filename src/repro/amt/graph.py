@@ -17,7 +17,9 @@ Replay changes *real* wall clock only.  Simulated time is untouched: the
 pool charges the identical serialized spawn costs in the identical order
 and assigns fresh, consecutive task ids per run, so DES makespans, traces,
 counters, and the executed physics are bit-identical to rebuilding the
-graph from scratch.
+graph from scratch.  Within one run the runtime simulates a template only
+at its first replay and re-applies the memoized outcome at later ones
+(:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).
 
 Segmentation exists for the Fig. 5 (unchained) variant, whose build
 interleaves blocking ``wait_all`` barriers: each flush becomes one
@@ -104,6 +106,8 @@ class GraphStats:
         captures: templates captured (first build + every re-capture after
             an invalidation).
         replays: cycles served by re-firing a captured template.
+        memo_hits: replayed cycles whose simulation was re-applied from the
+            runtime's replay memo instead of run again.
         invalidations: templates dropped (structure change, rollback, or a
             fault-injection cycle).
         build_ns: real wall-clock spent constructing graphs, execution
@@ -115,6 +119,7 @@ class GraphStats:
 
     captures: int = 0
     replays: int = 0
+    memo_hits: int = 0
     invalidations: int = 0
     build_ns: int = 0
     replay_ns: int = 0
@@ -127,6 +132,7 @@ class GraphStats:
         """
         self.captures = 0
         self.replays = 0
+        self.memo_hits = 0
         self.invalidations = 0
         self.build_ns = 0
         self.replay_ns = 0

@@ -178,6 +178,12 @@ class AmtRuntime:
         self.fault_injector = fault_injector
         self.replay = replay
         self.flight_recorder = flight_recorder
+        # The replay memo: the template last replayed in this run and, per
+        # segment, its first task id and the pool's result (replay_graph).
+        self._memo_template: GraphTemplate | None = None
+        self._memo: list[tuple[int, PoolResult]] = []
+        #: Whether the last ``replay_graph`` re-applied memoized results.
+        self.replayed_from_memo = False
 
     # --- task creation -----------------------------------------------------
 
@@ -438,17 +444,35 @@ class AmtRuntime:
                 raise failed[0][1]
             raise TaskGroupError.collect(failed)
 
-    def _run_segment(self, tasks: Sequence[SimTask]) -> PoolResult:
-        """Hand one segment to the pool and fold its outcome into stats."""
+    def _run_segment(
+        self,
+        tasks: Sequence[SimTask],
+        memo: tuple[int, PoolResult] | None = None,
+    ) -> PoolResult:
+        """Execute one segment and fold its outcome into stats.
+
+        *memo* is ``(first task id, result)`` of this segment's earlier
+        simulated run; with it the pool re-applies that result instead of
+        simulating, and the fold shifts the recorded task ids.
+        """
         if self._flushing:
             raise AmtError("re-entrant flush")
         self._flushing = True
         t0 = time.perf_counter_ns()
         try:
-            result = self._pool.run(tasks, spawn_worker=0)
+            if memo is None:
+                result = self._pool.run(tasks, spawn_worker=0)
+            else:
+                result = memo[1]
+                self._pool.reapply(tasks, result)
         finally:
             self._flushing = False
             self.real_exec_ns += time.perf_counter_ns() - t0
+        self._fold(result, 0 if memo is None else tasks[0].task_id - memo[0])
+        return result
+
+    def _fold(self, result: PoolResult, id_shift: int) -> None:
+        """Fold one executed segment into stats, trace, events and hooks."""
         # Each segment's discrete-event simulation starts at virtual t=0;
         # rebase its spans onto the run's global timeline and stamp them
         # with the flush index so replayed cycles never collide.
@@ -458,7 +482,9 @@ class AmtRuntime:
         self._stats.n_tasks += result.n_tasks
         self._stats.n_flushes += 1
         self._stats.spawn_ns += result.spawn_total_ns
-        self._stats.trace.merge(result.trace, offset_ns=base_ns, cycle=cycle)
+        self._stats.trace.merge(
+            result.trace, offset_ns=base_ns, cycle=cycle, id_shift=id_shift
+        )
         fr = self.flight_recorder
         if fr is not None:
             steals = sum(w.steals for w in result.trace.workers)
@@ -485,12 +511,11 @@ class AmtRuntime:
                     cycle=cycle,
                     tag=s.tag,
                     worker=s.worker,
-                    task_id=s.task_id,
+                    task_id=s.task_id + id_shift,
                     duration_ns=s.duration_ns,
                 )
         for hook in self._flush_hooks:
             hook(self, result.makespan_ns)
-        return result
 
     def flush(self) -> int:
         """Execute all pending tasks; returns this segment's makespan (ns)."""
@@ -539,27 +564,53 @@ class AmtRuntime:
         """Re-fire a captured template; returns the re-arm wall-clock (ns).
 
         Each segment is re-armed in place (futures cleared, tasks reset to
-        created state with capture-time costs) and handed to the pool, then
-        the segment's recorded blocking barrier — if any — re-performs its
+        created state with capture-time costs) and executed, then the
+        segment's recorded blocking barrier — if any — re-performs its
         readiness/failure check, reproducing ``wait_all`` rethrow semantics.
         Simulated timing, traces, counters, and executed physics are
         bit-identical to rebuilding the graph; only the Python-side
         construction cost disappears.  The returned duration covers the
         reset loops only (execution excluded) — the like-for-like
         counterpart of a build's construction time.
+
+        The first replay of a template in a run simulates each segment on
+        the pool and memoizes the results; later replays of the same
+        template re-apply them (:meth:`SimWorkerPool.reapply`) and fold
+        them as a simulated segment would be folded: the same stats,
+        spans (ids shifted), flight events and flush hooks.  That is exact
+        because the simulation depends only on the segment, whose costs
+        the re-arm restores, and on the pool's fixed machine, cost model,
+        policy and workers.  The memo holds one template: replaying
+        another one, or :meth:`reset_stats`, drops it.  While a fault
+        injector or a replay policy is set it is neither read nor written,
+        since stalls and retry backoff change a task's cost mid-cycle.
+        :attr:`replayed_from_memo` tells whether this replay re-applied.
         """
         if self._pending:
             raise AmtError("cannot replay with pending tasks")
         if self._recorder is not None:
             raise AmtError("cannot replay while capturing")
+        memoize = self.fault_injector is None and self.replay is None
+        hit = memoize and self._memo_template is template
+        fill = memoize and not hit
+        if fill:
+            self._memo_template, self._memo = None, []
+        self.replayed_from_memo = hit
         rearm_ns = 0
-        for seg in template.segments:
+        for k, seg in enumerate(template.segments):
             t0 = time.perf_counter_ns()
             reset_segment(seg)
             rearm_ns += time.perf_counter_ns() - t0
-            self._run_segment(seg.tasks)
+            if hit:
+                self._run_segment(seg.tasks, self._memo[k])
+            else:
+                result = self._run_segment(seg.tasks)
+                if fill:
+                    self._memo.append((seg.tasks[0].task_id, result))
             if seg.wait_futures is not None:
                 self._check_waited(seg.wait_futures, seg.rethrow)
+        if fill:
+            self._memo_template = template
         return rearm_ns
 
     # --- accounting ---------------------------------------------------------
@@ -588,12 +639,16 @@ class AmtRuntime:
         return self._stats
 
     def reset_stats(self) -> None:
-        """Clear accumulated statistics (pending tasks are unaffected)."""
+        """Clear accumulated statistics and the replay memo (a new run).
+
+        Pending tasks are unaffected.
+        """
         if self._pending:
             raise AmtError("cannot reset stats with pending (uncounted) tasks")
         self._stats = RunStats(
             n_workers=self.n_workers, record_spans=self._record_spans
         )
+        self._memo_template, self._memo = None, []
 
     @property
     def n_pending(self) -> int:

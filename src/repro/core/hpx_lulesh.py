@@ -541,6 +541,7 @@ class HpxLuleshProgram:
                 self._invalidate_template()
                 raise
             stats.replays += 1
+            stats.memo_hits += self.rt.replayed_from_memo
             if self.rt.flight_recorder is not None:
                 self.rt.flight_recorder.record(
                     "graph_replay", time_ns=self.rt.stats.total_ns, cycle=cycle

@@ -11,9 +11,12 @@ the Fig.-8 chained one.
 Works on the :class:`~repro.simcore.trace.TaskSpan` stream of a run recorded
 with ``record_spans=True``: spans carry the dependency edges (``parents``)
 that :class:`~repro.simcore.pool.SimWorkerPool` threads through from the
-``SimTask`` graph.  Spans merged across several flushes are handled
-naturally — task ids are unique per pool lifetime and edges never cross a
-blocking boundary, so the analysis yields the longest chain of any segment.
+``SimTask`` graph.  A run of several flushes executes its segments back to
+back — each blocking barrier or cycle boundary waits for the whole segment
+— so the run's chain is the sum of every segment's longest chain.  Spans
+are grouped into segments by ``TaskSpan.cycle`` (the flush index; the
+spans of one unmerged pool run all carry the same value), and the reported
+path is the per-segment chains in segment order.
 """
 
 from __future__ import annotations
@@ -82,16 +85,38 @@ def analyze_critical_path(
     """Compute the longest dependency chain through *spans*.
 
     Chain length is the sum of task durations along dependency edges; edges
-    to tasks outside *spans* (e.g. parents retired before a blocking
-    barrier's flush) contribute nothing.  The returned bound always
-    satisfies ``critical_path_ns <= makespan_ns`` for spans recorded from a
-    single simulated execution, since every chain executed inside it.
+    to tasks outside a span's segment (e.g. parents retired before a
+    blocking barrier's flush) contribute nothing.  Segments run one after
+    another, so their longest chains add up.  The returned bound always
+    satisfies ``critical_path_ns <= makespan_ns`` for spans recorded from
+    simulated executions, since every segment's chain executed inside its
+    own makespan.
     """
     if makespan_ns < 0:
         raise ValueError(f"makespan must be non-negative, got {makespan_ns}")
-    by_id = {s.task_id: s for s in spans}
-    if len(by_id) != len(spans):
+    if len({s.task_id for s in spans}) != len(spans):
         raise ValueError("duplicate task ids in span stream")
+    segments: dict[int, list[TaskSpan]] = {}
+    for s in spans:
+        segments.setdefault(s.cycle, []).append(s)
+    total = 0
+    path: list[TaskSpan] = []
+    for cycle in sorted(segments):
+        length, chain = _longest_chain(segments[cycle])
+        total += length
+        path.extend(chain)
+    return CriticalPathResult(
+        critical_path_ns=total,
+        makespan_ns=makespan_ns,
+        total_busy_ns=sum(s.duration_ns for s in spans),
+        n_spans=len(spans),
+        path=tuple(path),
+    )
+
+
+def _longest_chain(spans: Sequence[TaskSpan]) -> tuple[int, list[TaskSpan]]:
+    """The longest chain through one segment's spans and its length."""
+    by_id = {s.task_id: s for s in spans}
     # Longest chain ending at each span, iteratively (graphs are deep for
     # continuation chains — avoid recursion limits).
     dist: dict[int, int] = {}
@@ -119,8 +144,6 @@ def analyze_critical_path(
                     best, chosen = dist[p], p
             dist[tid] = best + node.duration_ns
             best_parent[tid] = chosen
-    if not dist:
-        return CriticalPathResult(0, makespan_ns, 0, 0, ())
     end_id = max(dist, key=lambda tid: dist[tid])
     chain: list[TaskSpan] = []
     cursor: int | None = end_id
@@ -128,10 +151,4 @@ def analyze_critical_path(
         chain.append(by_id[cursor])
         cursor = best_parent[cursor]
     chain.reverse()
-    return CriticalPathResult(
-        critical_path_ns=dist[end_id],
-        makespan_ns=makespan_ns,
-        total_busy_ns=sum(s.duration_ns for s in spans),
-        n_spans=len(spans),
-        path=tuple(chain),
-    )
+    return dist[end_id], chain

@@ -252,8 +252,9 @@ def install_graph_counters(registry: CounterRegistry, stats) -> None:
     The stats object belongs to one program (``HpxLuleshProgram`` /
     ``NaiveHpxProgram``), so these counters describe that program's graph
     capture & replay activity: how often the iteration graph was captured,
-    re-fired, or thrown away, and the real (host) time split between
-    building graphs and re-arming captured ones.
+    re-fired (and how many re-fires re-applied a memoized simulation), or
+    thrown away, and the real (host) time split between building graphs
+    and re-arming captured ones.
     """
     registry.register_gauge(
         "/graph/captures",
@@ -264,6 +265,12 @@ def install_graph_counters(registry: CounterRegistry, stats) -> None:
         "/graph/replays",
         lambda: stats.replays,
         description="cycles served by re-firing a captured graph",
+    )
+    registry.register_gauge(
+        "/graph/memo-hits",
+        lambda: stats.memo_hits,
+        description="replayed cycles that re-applied the run's memoized "
+        "simulation instead of simulating again",
     )
     registry.register_gauge(
         "/graph/invalidations",

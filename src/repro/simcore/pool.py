@@ -165,12 +165,19 @@ class SimTask:
 
 @dataclass(frozen=True)
 class PoolResult:
-    """Outcome of one simulated graph execution."""
+    """Outcome of one simulated graph execution.
+
+    ``order`` lists the tasks in the order they were dispatched, as
+    positions in the submitted task list.  It is what
+    :meth:`SimWorkerPool.reapply` needs to run the same segment's bodies
+    again without simulating it.
+    """
 
     makespan_ns: int
     trace: TraceRecorder
     n_tasks: int
     spawn_total_ns: int
+    order: tuple[int, ...] = ()
 
     def utilization(self) -> float:
         """Fig.-11-style productive-time ratio for this run."""
@@ -221,6 +228,16 @@ class SimWorkerPool:
         """Wall-clock ns on *worker* for *ns* of speed-1.0 work."""
         return int(round(ns / self._speeds[worker]))
 
+    def _number(self, task_list: Sequence[SimTask]) -> int:
+        """Give *task_list* the next consecutive ids; returns the first."""
+        first = self._next_task_id
+        for task in task_list:
+            if task.state != _CREATED:
+                raise ValueError(f"task {task.tag!r} was already executed")
+            task.task_id = self._next_task_id
+            self._next_task_id += 1
+        return first
+
     # --- execution -------------------------------------------------------------
 
     def run(
@@ -267,11 +284,8 @@ class SimWorkerPool:
         schedule_ns = [self._scale(cm.task_schedule_ns, w) for w in range(n)]
         probe_ns = [self._scale(cm.steal_attempt_ns, w) for w in range(n)]
 
-        for task in task_list:
-            if task.state != _CREATED:
-                raise ValueError(f"task {task.tag!r} was already executed")
-            task.task_id = self._next_task_id
-            self._next_task_id += 1
+        first_id = self._number(task_list)
+        order: list[int] = []
 
         # Release schedule: spawn costs accumulate serially on spawn_worker.
         t = 0
@@ -332,6 +346,7 @@ class SimWorkerPool:
                     f"dispatching task {task.tag!r} with pending deps"
                 )
             task.state = _RUNNING
+            order.append(task.task_id - first_id)
             trace.add_overhead(worker, overhead)
             if execute_bodies and task.body is not None:
                 task.body()
@@ -417,4 +432,30 @@ class SimWorkerPool:
             trace=trace,
             n_tasks=len(task_list),
             spawn_total_ns=spawn_total_ns,
+            order=tuple(order),
         )
+
+    def reapply(self, tasks: Sequence[SimTask], result: PoolResult) -> None:
+        """Execute *tasks* again with an outcome already simulated.
+
+        *result* must be what :meth:`run` returned for this same segment
+        (the same tasks, costs and topology) on this pool.  The
+        simulation is a pure function of those, so a second run would
+        differ only in its task ids.  This numbers the tasks as
+        :meth:`run` would, executes their bodies in ``result.order`` and
+        marks them done, without simulating; ``finish_ns`` stays unset.
+        """
+        if len(tasks) != result.n_tasks:
+            raise ValueError(
+                f"segment of {len(tasks)} tasks cannot reapply a result "
+                f"of {result.n_tasks}"
+            )
+        self._number(tasks)
+        for i in result.order:
+            task = tasks[i]
+            task.state = _RUNNING
+            if task.body is not None:
+                task.body()
+            task.pending = 0
+            task.released = True
+            task.state = _DONE

@@ -154,6 +154,7 @@ class TraceRecorder:
         other: "TraceRecorder",
         offset_ns: int = 0,
         cycle: int | None = None,
+        id_shift: int = 0,
     ) -> None:
         """Fold another recorder (e.g. a later iteration) into this one.
 
@@ -161,7 +162,9 @@ class TraceRecorder:
         segment starts at virtual t=0, so the caller passes the cumulative
         makespan of everything merged before); *cycle* stamps the merged
         spans with their flush segment so replayed-graph cycles stay
-        distinguishable.
+        distinguishable; *id_shift* is added to every span's task id and
+        parent ids (a re-applied segment's tasks carry later ids than the
+        run that recorded *other*).
         """
         if other.n_workers != self.n_workers:
             raise ValueError("cannot merge traces with different worker counts")
@@ -177,11 +180,13 @@ class TraceRecorder:
                 self.spans.append(
                     TaskSpan(
                         s.worker,
-                        s.task_id,
+                        s.task_id + id_shift,
                         s.tag,
                         s.start_ns + offset_ns,
                         s.end_ns + offset_ns,
-                        s.parents,
+                        tuple(p + id_shift for p in s.parents)
+                        if id_shift
+                        else s.parents,
                         s.cycle if cycle is None else cycle,
                     )
                 )

@@ -118,6 +118,8 @@ class TestGraphStatsAccounting:
         run_hpx(OPTS, 4, 4, execute=True, registry=registry)
         assert registry.counter("/graph/captures").sample_value() == 1
         assert registry.counter("/graph/replays").sample_value() == 3
+        # cycle 2 simulates the first replay; cycles 3-4 re-apply it
+        assert registry.counter("/graph/memo-hits").sample_value() == 2
         assert registry.counter("/graph/replay-time").sample_value() > 0
 
     def test_disabled_replay_counters_stay_zero(self):
@@ -173,4 +175,6 @@ class TestResilienceInteraction:
         assert abs(res.domain.origin_energy() - ref) <= 1e-12 * abs(ref)
         assert registry.counter("/graph/captures").sample_value() == 2
         assert registry.counter("/graph/invalidations").sample_value() == 1
+        # an armed injector keeps every replay on the simulator
+        assert registry.counter("/graph/memo-hits").sample_value() == 0
         assert plan.stats.injected_faults >= 1

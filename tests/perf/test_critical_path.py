@@ -4,6 +4,7 @@ import pytest
 
 from repro.amt.runtime import AmtRuntime
 from repro.core.driver import run_hpx
+from repro.core.hpx_lulesh import HpxVariant
 from repro.harness.traceview import to_chrome_trace
 from repro.lulesh.options import LuleshOptions
 from repro.perf.critical_path import analyze_critical_path
@@ -162,6 +163,38 @@ class TestReplayedGraphRuns:
         assert cp_r.critical_path_ns == cp_b.critical_path_ns
         assert cp_r.n_spans == cp_b.n_spans
         assert [s.tag for s in cp_r.path] == [s.tag for s in cp_b.path]
+
+    def test_bound_does_not_grow_with_the_cycle_count(self):
+        """Identical cycles: the run's chain is every cycle's chain, so
+        the ratios of a 4-cycle run are those of a 1-cycle run."""
+        cps = [
+            analyze_critical_path(res.trace.spans, res.runtime_ns)
+            for res in (self.run_recorded(True, 1), self.run_recorded(True, 4))
+        ]
+        one, four = cps
+        assert four.critical_path_ns == 4 * one.critical_path_ns
+        assert four.speedup_bound == one.speedup_bound
+        assert four.parallelism == one.parallelism
+        assert four.chain_fraction == one.chain_fraction
+        assert len(four.path) == 4 * len(one.path)
+
+    def test_fig5_chain_sums_its_segments(self):
+        """Blocking barriers split a Fig. 5 cycle into segments run back
+        to back: the chain is the sum of their chains, in order."""
+        res = run_hpx(LuleshOptions(nx=6, numReg=2), 4, 1,
+                      variant=HpxVariant.fig5(), record_spans=True)
+        segments = {}
+        for s in res.trace.spans:
+            segments.setdefault(s.cycle, []).append(s)
+        assert len(segments) > 10
+        cp = analyze_critical_path(res.trace.spans, res.runtime_ns)
+        assert cp.critical_path_ns == sum(
+            analyze_critical_path(group, res.runtime_ns).critical_path_ns
+            for group in segments.values()
+        )
+        assert cp.critical_path_ns <= res.runtime_ns
+        assert [s.cycle for s in cp.path] == sorted(s.cycle for s in cp.path)
+        assert {s.cycle for s in cp.path} == set(segments)
 
     def test_merged_spans_are_rebased_per_cycle(self):
         res = self.run_recorded(replay=True)
