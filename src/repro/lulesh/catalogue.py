@@ -34,9 +34,12 @@ class Kernel:
     ``ref`` is the LULESH 2.0 call path below ``LagrangeLeapFrog`` down to
     the code the kernel runs; fault patterns match any name on it.
     ``cost`` names the :class:`~repro.lulesh.costs.KernelCosts` rate and
-    ``temps`` the temporary arrays one invocation allocates.  ``in_place``
-    lists the fields the kernel reads and rewrites: a second run over the
-    same range changes them again, so such a kernel is not idempotent.
+    ``temps`` the temporary arrays one invocation of the reference kernel
+    allocates: the simulated allocator charges ``temps * n * 8`` bytes for
+    a task of ``n`` items.  It does not count the NumPy port's scratch,
+    which the workspace arena holds.  ``in_place`` lists the fields the
+    kernel reads and rewrites: a second run over the same range changes
+    them again, so such a kernel is not idempotent.
     ``body(domain, lo, hi, region, rep)`` runs it over ``[lo, hi)`` (of
     ``region``'s element list for the per-region kernels); it reaches the
     kernel function through its module attribute at call time.

@@ -11,9 +11,16 @@ response ``p = (2/3)(1/v) e`` with half-step predictor/corrector energy
 integration, artificial-viscosity coupling via the element sound speed, and
 the reference's cutoffs and clamps reproduced bit-for-bit.
 
-All region-sized temporaries are checked out of the domain workspace once
-per kernel call; ``calc_pressure``/``calc_energy`` accept output arrays and
-a scratch scope so the ``rep`` loop reuses one set of buffers.
+A region's repetitions run as the *rows* of long passes: one pass gathers
+each input for several repetitions at once through a tiled index and runs
+``calc_energy`` once over all of them, so NumPy's per-call overhead is paid
+per pass instead of per repetition.  Every value still goes through the same
+IEEE operations on the same inputs.  A pass holds at most ``_PASS_EVALS``
+element-evaluations (a region longer than that runs one repetition per
+pass), and every temporary of a pass is a prefix view of a row of two
+scratch blocks checked out once per kernel call — so all region partitions
+share one buffer set.  ``calc_pressure``/``calc_energy`` accept output
+arrays and a scratch scope, which is how a pass hands them those views.
 """
 
 from __future__ import annotations
@@ -33,6 +40,14 @@ __all__ = [
 _SSC_FLOOR_TEST = 0.1111111e-36
 _SSC_FLOOR = 0.3333333e-18
 
+#: Element-evaluations (elements x repetitions) one EOS pass holds at most.
+_PASS_EVALS = 8192
+#: Scratch rows one ``eval_eos_region`` call takes on its longest path: its
+#: 6 arrays, ``_eos_pass``'s 10, then ``calc_energy``'s 6 and the 3 + 6 of
+#: its ``calc_pressure`` and ``_sound_speed_sq_clamped`` calls; 9 boolean.
+_FLOAT_ROWS = 31
+_BOOL_ROWS = 9
+
 
 class _HeapScope:
     """Stand-in scratch scope for direct calls without a workspace."""
@@ -43,6 +58,35 @@ class _HeapScope:
 
 
 _HEAP_SCOPE = _HeapScope()
+
+
+class _PassScratch:
+    """Scratch scope of one EOS call: rows of two blocks, cut to length.
+
+    ``take((n,))`` hands out the next unused row of the float or boolean
+    block, cut to its first *n* values; :meth:`rewind` returns the rows
+    taken since a :meth:`mark`, so each pass reuses the same rows.
+    """
+
+    __slots__ = ("_rows", "_next")
+
+    def __init__(self, s, width: int) -> None:
+        self._rows = {
+            np.float64: s.take((_FLOAT_ROWS, width)),
+            bool: s.take((_BOOL_ROWS, width), dtype=bool),
+        }
+        self._next = {np.float64: 0, bool: 0}
+
+    def take(self, shape, dtype=np.float64):
+        i = self._next[dtype]
+        self._next[dtype] = i + 1
+        return self._rows[dtype][i, : shape[0]]
+
+    def mark(self) -> dict:
+        return dict(self._next)
+
+    def rewind(self, mark: dict) -> None:
+        self._next.update(mark)
 
 
 def calc_pressure(
@@ -265,14 +309,57 @@ def apply_material_properties_prologue(domain, lo: int, hi: int) -> None:
             raise VolumeError(f"element {bad} volume non-positive entering EOS")
 
 
+def _eos_pass(domain, ix: np.ndarray, vnewc: np.ndarray, outs, s) -> None:
+    """One EOS pass over the elements *ix* lists — the region's elements,
+    once per repetition — into the five output arrays *outs* of
+    ``calc_energy``."""
+    opts = domain.opts
+    n = ix.shape[0]
+    e_old, delvc, p_old, q_old, qq_old, ql_old = (
+        s.take((n,)) for _ in range(6)
+    )
+    np.take(domain.e, ix, out=e_old, mode="clip")
+    np.take(domain.delv, ix, out=delvc, mode="clip")
+    np.take(domain.p, ix, out=p_old, mode="clip")
+    np.take(domain.q, ix, out=q_old, mode="clip")
+    np.take(domain.qq, ix, out=qq_old, mode="clip")
+    np.take(domain.ql, ix, out=ql_old, mode="clip")
+
+    compression, vchalf, comp_half_step, work = (s.take((n,)) for _ in range(4))
+    sel = s.take((n,), dtype=bool)
+    np.divide(1.0, vnewc, out=compression)
+    compression -= 1.0
+    np.multiply(delvc, 0.5, out=vchalf)
+    np.subtract(vnewc, vchalf, out=vchalf)
+    np.divide(1.0, vchalf, out=comp_half_step)
+    comp_half_step -= 1.0
+
+    if opts.eosvmin != 0.0:
+        np.less_equal(vnewc, opts.eosvmin, out=sel)
+        np.copyto(comp_half_step, compression, where=sel)
+    if opts.eosvmax != 0.0:
+        np.greater_equal(vnewc, opts.eosvmax, out=sel)
+        np.copyto(p_old, 0.0, where=sel)
+        np.copyto(compression, 0.0, where=sel)
+        np.copyto(comp_half_step, 0.0, where=sel)
+
+    work.fill(0.0)
+    calc_energy(
+        p_old, e_old, q_old, compression, comp_half_step,
+        vnewc, work, delvc, qq_old, ql_old, opts,
+        out=outs, s=s,
+    )
+
+
 def eval_eos_region(
     domain, reg_elems: np.ndarray, rep: int, lo: int = 0, hi: int | None = None
 ) -> None:
     """``EvalEOSForElems`` for ``reg_elems[lo:hi]`` with *rep* repetitions.
 
-    The repetition loop re-gathers the inputs and recomputes each time —
-    that *is* the extra work that models expensive materials; only the last
-    repetition's values are stored (they are all identical).
+    Each repetition re-gathers the inputs and recomputes — that *is* the
+    extra work that models expensive materials.  The repetitions run as the
+    rows of passes of up to ``_PASS_EVALS`` element-evaluations; only the
+    last row's values are stored (all rows are identical).
     """
     if hi is None:
         hi = len(reg_elems)
@@ -284,64 +371,40 @@ def eval_eos_region(
     opts = domain.opts
     ws = domain.workspace
     m = idx.shape[0]
+    rows = min(rep, max(1, _PASS_EVALS // m))  # repetitions per full pass
+    tiled = idx
+    if rows > 1:
+        # Static connectivity, built once per (region, partition, rows);
+        # the entry holds reg_elems so its id stays unique.
+        tiled = ws.static(
+            ("eos-tile", id(reg_elems), lo, hi, rows),
+            lambda: (reg_elems, np.tile(idx, rows)),
+        )[1]
 
-    with ws.scope() as s:
-        vnewc = s.take((m,))
-        np.take(domain.vnewc, idx, out=vnewc, mode="clip")
+    with ws.scope() as ws_s:
+        s = _PassScratch(ws_s, max(_PASS_EVALS, m))
+        vnewc = s.take((rows * m,))
+        np.take(domain.vnewc, tiled, out=vnewc, mode="clip")
+        outs = [s.take((rows * m,)) for _ in range(5)]
+        mark = s.mark()
+        for first in range(0, rep, rows):
+            n = min(rows, rep - first) * m
+            s.rewind(mark)
+            _eos_pass(domain, tiled[:n], vnewc[:n], [a[:n] for a in outs], s)
 
-        e_old = s.take((m,))
-        delvc = s.take((m,))
-        p_old = s.take((m,))
-        q_old = s.take((m,))
-        qq_old = s.take((m,))
-        ql_old = s.take((m,))
-        compression = s.take((m,))
-        vchalf = s.take((m,))
-        comp_half_step = s.take((m,))
-        work = s.take((m,))
-        sel = s.take((m,), dtype=bool)
-        outs = tuple(s.take((m,)) for _ in range(5))
-
-        for _ in range(rep):
-            np.take(domain.e, idx, out=e_old, mode="clip")
-            np.take(domain.delv, idx, out=delvc, mode="clip")
-            np.take(domain.p, idx, out=p_old, mode="clip")
-            np.take(domain.q, idx, out=q_old, mode="clip")
-            np.take(domain.qq, idx, out=qq_old, mode="clip")
-            np.take(domain.ql, idx, out=ql_old, mode="clip")
-
-            np.divide(1.0, vnewc, out=compression)
-            compression -= 1.0
-            np.multiply(delvc, 0.5, out=vchalf)
-            np.subtract(vnewc, vchalf, out=vchalf)
-            np.divide(1.0, vchalf, out=comp_half_step)
-            comp_half_step -= 1.0
-
-            if opts.eosvmin != 0.0:
-                np.less_equal(vnewc, opts.eosvmin, out=sel)
-                np.copyto(comp_half_step, compression, where=sel)
-            if opts.eosvmax != 0.0:
-                np.greater_equal(vnewc, opts.eosvmax, out=sel)
-                np.copyto(p_old, 0.0, where=sel)
-                np.copyto(compression, 0.0, where=sel)
-                np.copyto(comp_half_step, 0.0, where=sel)
-
-            work.fill(0.0)
-            p_new, e_new, q_new, bvc, pbvc = calc_energy(
-                p_old, e_old, q_old, compression, comp_half_step,
-                vnewc, work, delvc, qq_old, ql_old, opts,
-                out=outs, s=s,
-            )
-
+        # The last row of the last pass holds the stored values.
+        p_new, e_new, q_new, bvc, pbvc = (a[n - m : n] for a in outs)
         domain.p[idx] = p_new
         domain.e[idx] = e_new
         domain.q[idx] = q_new
 
         # CalcSoundSpeedForElems
-        np.multiply(vnewc, vnewc, out=compression)  # vnewc^2, buffer reuse
+        s.rewind(mark)
+        vnewc_sq = s.take((m,))
+        np.multiply(vnewc[:m], vnewc[:m], out=vnewc_sq)
         ss = _sound_speed_sq_clamped(
-            pbvc, e_new, compression, bvc, p_new, opts.refdens,
-            out=work, s=s,
+            pbvc, e_new, vnewc_sq, bvc, p_new, opts.refdens,
+            out=s.take((m,)), s=s,
         )
         domain.ss[idx] = ss
 

@@ -8,10 +8,14 @@ by the EOS.  Boundary handling follows the reference's bitmask switch:
 symmetry faces mirror the element's own gradient, free faces contribute
 zero, interior faces read the face neighbour via ``lxim``/``lxip`` etc.
 
-The per-region limiter indexes (``elemBC`` and face-neighbour lists for the
-region's element set) are static per region — they are built once and kept
-in the workspace's static cache; all elementwise temporaries come from the
-scratch arena.
+The limiter runs the three directions as the rows of one ``(3, m)`` pass:
+one normalisation, one symmetry/free selection and one limiter pass over the
+gathered centre, minus and plus rows, then ``qlin``/``qquad`` summed over
+the rows left to right (xi + eta, then + zeta), each value through the same
+IEEE operations as a direction at a time.  The per-region face-neighbour
+lists and the ``(3, m)`` symmetry/free masks derived from ``elemBC`` are
+static per region partition — built once and kept in the workspace's static
+cache; the temporaries are one ``(5, 3, m)`` scratch block.
 """
 
 from __future__ import annotations
@@ -148,159 +152,99 @@ def calc_monotonic_q_gradients(domain, lo: int, hi: int) -> None:
         )
 
 
-def _limited_phi_into(
-    phi: np.ndarray,
-    s,
-    delv: np.ndarray,
-    idx: np.ndarray,
-    bc: np.ndarray,
-    mask: int,
-    symm: int,
-    free: int,
-    nbr_minus_idx: np.ndarray,
-    mask_p: int,
-    symm_p: int,
-    free_p: int,
-    nbr_plus_idx: np.ndarray,
-    limiter_mult: float,
-    max_slope: float,
-) -> np.ndarray:
-    """The monotonic limiter for one logical direction, into *phi*."""
-    m = idx.shape[0]
-    center = s.take((m,))
-    normq = s.take((m,))
-    delvm = s.take((m,))
-    delvp = s.take((m,))
-    bcm = s.take((m,), dtype=bc.dtype)
-    sel = s.take((m,), dtype=bool)
+def _region_statics(mesh, idx: np.ndarray) -> tuple:
+    """Minus and plus face-neighbour lists and ``(3, m)`` symm/free masks.
 
-    np.take(delv, idx, out=center, mode="clip")
-    np.add(center, _PTINY, out=normq)
-    np.divide(1.0, normq, out=normq)
+    Rows are xi, eta, zeta; the masks say where the minus/plus face is a
+    symmetry plane (the neighbour value is the element's own) or free (0).
+    """
+    bc = mesh.elemBC[idx]
 
-    np.bitwise_and(bc, mask, out=bcm)
-    np.take(delv, nbr_minus_idx, out=delvm, mode="clip")
-    np.equal(bcm, symm, out=sel)
-    np.copyto(delvm, center, where=sel)
-    np.equal(bcm, free, out=sel)
-    np.copyto(delvm, 0.0, where=sel)
+    def masks(faces):
+        return np.stack([(bc & mask) == bit for mask, bit in faces])
 
-    np.bitwise_and(bc, mask_p, out=bcm)
-    np.take(delv, nbr_plus_idx, out=delvp, mode="clip")
-    np.equal(bcm, symm_p, out=sel)
-    np.copyto(delvp, center, where=sel)
-    np.equal(bcm, free_p, out=sel)
-    np.copyto(delvp, 0.0, where=sel)
-
-    delvm *= normq
-    delvp *= normq
-    np.add(delvm, delvp, out=phi)
-    phi *= 0.5
-    delvm *= limiter_mult
-    delvp *= limiter_mult
-    np.minimum(phi, delvm, out=phi)
-    np.minimum(phi, delvp, out=phi)
-    np.clip(phi, 0.0, max_slope, out=phi)
-    return phi
+    return (
+        (mesh.lxim[idx], mesh.letam[idx], mesh.lzetam[idx]),
+        (mesh.lxip[idx], mesh.letap[idx], mesh.lzetap[idx]),
+        masks(((XI_M, XI_M_SYMM), (ETA_M, ETA_M_SYMM), (ZETA_M, ZETA_M_SYMM))),
+        masks(((XI_M, XI_M_FREE), (ETA_M, ETA_M_FREE), (ZETA_M, ZETA_M_FREE))),
+        masks(((XI_P, XI_P_SYMM), (ETA_P, ETA_P_SYMM), (ZETA_P, ZETA_P_SYMM))),
+        masks(((XI_P, XI_P_FREE), (ETA_P, ETA_P_FREE), (ZETA_P, ZETA_P_FREE))),
+    )
 
 
 def calc_monotonic_q_region(domain, reg_elems: np.ndarray, lo: int, hi: int) -> None:
     """``CalcMonotonicQRegionForElems`` over ``reg_elems[lo:hi]``."""
     opts = domain.opts
-    mesh = domain.mesh
     ws = domain.workspace
     idx = reg_elems[lo:hi]
     if idx.size == 0:
         return
-    # The region's BC masks and face-neighbour index lists are static
-    # connectivity — built once per (region, partition) and cached.
-    bc, nxim, nxip, netam, netap, nzetam, nzetap = ws.static(
-        ("monoq", id(reg_elems), lo, hi),
-        lambda: (
-            mesh.elemBC[idx],
-            mesh.lxim[idx],
-            mesh.lxip[idx],
-            mesh.letam[idx],
-            mesh.letap[idx],
-            mesh.lzetam[idx],
-            mesh.lzetap[idx],
-        ),
+    # Static connectivity, built once per (region, partition); the entry
+    # holds reg_elems so its id stays unique.
+    _, nbr_minus, nbr_plus, symm_m, free_m, symm_p, free_p = ws.static(
+        ("monoq-rows", id(reg_elems), lo, hi),
+        lambda: (reg_elems, *_region_statics(domain.mesh, idx)),
     )
+    delv = (domain.delv_xi, domain.delv_eta, domain.delv_zeta)
+    delx = (domain.delx_xi, domain.delx_eta, domain.delx_zeta)
     m = idx.shape[0]
 
     with ws.scope() as s:
-        phixi = s.take((m,))
-        phieta = s.take((m,))
-        phizeta = s.take((m,))
-        _limited_phi_into(
-            phixi, s, domain.delv_xi, idx, bc,
-            XI_M, XI_M_SYMM, XI_M_FREE, nxim,
-            XI_P, XI_P_SYMM, XI_P_FREE, nxip,
-            opts.monoq_limiter_mult, opts.monoq_max_slope,
-        )
-        _limited_phi_into(
-            phieta, s, domain.delv_eta, idx, bc,
-            ETA_M, ETA_M_SYMM, ETA_M_FREE, netam,
-            ETA_P, ETA_P_SYMM, ETA_P_FREE, netap,
-            opts.monoq_limiter_mult, opts.monoq_max_slope,
-        )
-        _limited_phi_into(
-            phizeta, s, domain.delv_zeta, idx, bc,
-            ZETA_M, ZETA_M_SYMM, ZETA_M_FREE, nzetam,
-            ZETA_P, ZETA_P_SYMM, ZETA_P_FREE, nzetap,
-            opts.monoq_limiter_mult, opts.monoq_max_slope,
-        )
+        center, phi, delvm, delvp, delvx = s.take((5, 3, m))
+        for k in range(3):
+            np.take(delv[k], idx, out=center[k], mode="clip")
+            np.take(delv[k], nbr_minus[k], out=delvm[k], mode="clip")
+            np.take(delv[k], nbr_plus[k], out=delvp[k], mode="clip")
+            np.take(delx[k], idx, out=delvx[k], mode="clip")
 
-        delvxxi = s.take((m,))
-        delvxeta = s.take((m,))
-        delvxzeta = s.take((m,))
-        t1 = s.take((m,))
-        for dv, dx, out_ in (
-            (domain.delv_xi, domain.delx_xi, delvxxi),
-            (domain.delv_eta, domain.delx_eta, delvxeta),
-            (domain.delv_zeta, domain.delx_zeta, delvxzeta),
-        ):
-            np.take(dv, idx, out=out_, mode="clip")
-            np.take(dx, idx, out=t1, mode="clip")
-            out_ *= t1
-            np.minimum(out_, 0.0, out=out_)
+        # The monotonic limiter, all three directions at once.
+        normq = phi
+        np.add(center, _PTINY, out=normq)
+        np.divide(1.0, normq, out=normq)
+        np.copyto(delvm, center, where=symm_m)
+        np.copyto(delvm, 0.0, where=free_m)
+        np.copyto(delvp, center, where=symm_p)
+        np.copyto(delvp, 0.0, where=free_p)
+        delvm *= normq
+        delvp *= normq
+        np.add(delvm, delvp, out=phi)
+        phi *= 0.5
+        delvm *= opts.monoq_limiter_mult
+        delvp *= opts.monoq_limiter_mult
+        np.minimum(phi, delvm, out=phi)
+        np.minimum(phi, delvp, out=phi)
+        np.clip(phi, 0.0, opts.monoq_max_slope, out=phi)
 
-        rho = s.take((m,))
+        # delvx_k = min(delv_k * delx_k, 0)
+        np.multiply(center, delvx, out=delvx)
+        np.minimum(delvx, 0.0, out=delvx)
+
+        # Per-direction terms: delvx * (1 - phi) and delvx^2 * (1 - phi^2).
+        lin, quad = delvm, delvp
+        np.subtract(1.0, phi, out=lin)
+        np.multiply(delvx, lin, out=lin)
+        np.multiply(phi, phi, out=quad)
+        np.subtract(1.0, quad, out=quad)
+        np.multiply(delvx, delvx, out=center)
+        np.multiply(center, quad, out=quad)
+
+        qlin, qquad = phi[0], phi[1]
+        rho, t1, t2 = center
         np.take(domain.elemMass, idx, out=rho, mode="clip")
         np.take(domain.volo, idx, out=t1, mode="clip")
-        t2 = s.take((m,))
         np.take(domain.vnew, idx, out=t2, mode="clip")
         t1 *= t2
         rho /= t1
 
-        qlin = s.take((m,))
-        qquad = s.take((m,))
         # qlin = (-qlc * rho) * sum_k delvx_k * (1 - phi_k)
-        np.subtract(1.0, phixi, out=t1)
-        np.multiply(delvxxi, t1, out=qlin)
-        np.subtract(1.0, phieta, out=t1)
-        t1 *= delvxeta
-        qlin += t1
-        np.subtract(1.0, phizeta, out=t1)
-        t1 *= delvxzeta
-        qlin += t1
+        np.add(lin[0], lin[1], out=qlin)
+        qlin += lin[2]
         np.multiply(rho, -opts.qlc_monoq, out=t1)
         qlin *= t1
         # qquad = (qqc * rho) * sum_k delvx_k^2 * (1 - phi_k^2)
-        np.multiply(phixi, phixi, out=t1)
-        np.subtract(1.0, t1, out=t1)
-        np.multiply(delvxxi, delvxxi, out=qquad)
-        qquad *= t1
-        np.multiply(phieta, phieta, out=t1)
-        np.subtract(1.0, t1, out=t1)
-        np.multiply(delvxeta, delvxeta, out=t2)
-        t2 *= t1
-        qquad += t2
-        np.multiply(phizeta, phizeta, out=t1)
-        np.subtract(1.0, t1, out=t1)
-        np.multiply(delvxzeta, delvxzeta, out=t2)
-        t2 *= t1
-        qquad += t2
+        np.add(quad[0], quad[1], out=qquad)
+        qquad += quad[2]
         np.multiply(rho, opts.qqc_monoq, out=t1)
         qquad *= t1
 

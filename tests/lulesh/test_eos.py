@@ -101,19 +101,26 @@ class TestEvalEos:
         # p = (2/3)(1/v) e at zero compression work
         np.testing.assert_allclose(domain.p, (2.0 / 3.0) * 10.0, rtol=1e-12)
 
-    def test_rep_is_idempotent_on_state(self, domain):
-        """Repetition models cost, not different physics (§II-B)."""
-        d2 = Domain(domain.opts)
-        d2.vnew[:] = 1.0
-        for d in (domain, d2):
-            d.e[:] = 5.0
-            d.delv[:] = -0.01
+    @pytest.mark.parametrize("nx", [3, 8])
+    @pytest.mark.parametrize("rep", [2, 7, 20])
+    def test_rep_is_idempotent_on_state(self, nx, rep):
+        """Repetition models cost, not different physics (§II-B): every
+        count stores rep=1's bits, also when the repetitions take more than
+        one pass (nx=8: 512 elements, 20 repetitions)."""
+        one, many = (Domain(LuleshOptions(nx=nx, numReg=2)) for _ in range(2))
+        for d in (one, many):
+            d.vnew[:] = np.linspace(0.9, 1.1, d.numElem)
+            d.e[:] = np.linspace(1.0, 5.0, d.numElem)
+            d.delv[:] = np.linspace(-0.01, 0.01, d.numElem)  # both signs
+            d.ql[:] = 0.5
+            d.qq[:] = 0.25
             apply_material_properties_prologue(d, 0, d.numElem)
-        eval_eos_region(domain, region(domain), rep=1)
-        eval_eos_region(d2, region(d2), rep=20)
-        assert np.array_equal(domain.p, d2.p)
-        assert np.array_equal(domain.e, d2.e)
-        assert np.array_equal(domain.ss, d2.ss)
+        eval_eos_region(one, region(one), rep=1)
+        eval_eos_region(many, region(many), rep=rep)
+        for name in ("p", "e", "q", "ss"):
+            a, b = (getattr(d, name).view(np.int64) for d in (one, many))
+            assert np.array_equal(a, b), name
+        assert (one.q != 0.0).any()
 
     def test_compression_heats_element(self, domain):
         domain.e[:] = 1.0

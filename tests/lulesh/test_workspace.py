@@ -205,6 +205,35 @@ class TestOutOfWindowCalls:
         assert (st.live_bytes, st.high_water_bytes) == first
 
 
+class TestCheckoutsPerCall:
+    """Scratch checkouts cost a dict round trip each, so the region kernels
+    check out a fixed set per call: counted, not timed."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        domain = Domain(LuleshOptions(nx=20, numReg=11))
+        SequentialDriver(domain).step()
+        return domain
+
+    def checkouts(self, domain, fn, *args):
+        before = domain.workspace.stats.checkouts
+        fn(domain, *args)
+        return domain.workspace.stats.checkouts - before
+
+    def test_eos_checkouts_do_not_grow_with_rep(self, domain):
+        """Region 10 (549 elements) at every repetition count the regions
+        use; the 20 repetitions take two passes."""
+        region = domain.regions.reg_elem_lists[10]
+        counts = {rep: self.checkouts(domain, eos_k.eval_eos_region, region, rep)
+                  for rep in (1, 2, 7, 20)}
+        assert len(set(counts.values())) == 1, counts
+
+    def test_q_region_checkouts(self, domain):
+        region = domain.regions.reg_elem_lists[10]
+        n = self.checkouts(domain, q_k.calc_monotonic_q_region, region, 0, None)
+        assert n < 30
+
+
 def _call(fn, *args):
     return fn(*args)
 
