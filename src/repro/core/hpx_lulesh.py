@@ -85,6 +85,13 @@ class HpxVariant:
         """+ combined loops."""
         return cls(chain_kernels=True, combine_loops=True, parallel_chains=False)
 
+    @classmethod
+    def named(cls, name: str) -> "HpxVariant":
+        """The ladder rung called *name*: ``full``, ``fig5``, ``fig6`` or ``fig7``."""
+        if name not in ("full", "fig5", "fig6", "fig7"):
+            raise ValueError(f"unknown HPX variant {name!r}")
+        return getattr(cls, name)()
+
     def label(self) -> str:
         """Human-readable rung name for ablation tables."""
         if not self.chain_kernels:

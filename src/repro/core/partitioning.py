@@ -18,6 +18,8 @@ is non-monotone — it *drops back* to 2048 for the two largest problems
 partitioning size...").  :func:`table1_partition_sizes` encodes the table
 with those two rules extended to arbitrary sizes; the partition-sweep bench
 (E4) searches for the optimum independently to reproduce the table.
+:func:`resolve_partition_sizes` is the one precedence chain every run
+path uses: explicit sizes, then a tuning database, then Table I.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from repro.simcore.machine import MachineConfig
+
 __all__ = [
     "table1_partition_sizes",
+    "resolve_partition_sizes",
     "partition_layout",
     "partition_ranges",
     "n_partitions",
@@ -64,6 +69,39 @@ def table1_partition_sizes(nx: int) -> tuple[int, int]:
         nodal = 8192
     elements = 4096 if 61 <= nx <= 105 else 2048
     return nodal, elements
+
+
+def resolve_partition_sizes(
+    nx: int,
+    regions: int,
+    threads: int,
+    nodal: int | None = None,
+    elements: int | None = None,
+    tuning=None,
+    machine: MachineConfig | None = None,
+) -> tuple[int, int, str]:
+    """``(nodal_P, elements_P, source)`` for one HPX run.
+
+    Explicit sizes win; a missing one comes from *tuning* (a
+    :class:`~repro.tuning.database.TuningDatabase`, consulted for
+    *machine* — default :class:`~repro.simcore.machine.MachineConfig` —
+    and this shape), else from :func:`table1_partition_sizes`.  *source*
+    names where the sizes came from: ``explicit`` when either was given,
+    else ``tuned`` or ``table1``.
+    """
+    pn, pe = table1_partition_sizes(nx)
+    source = "table1"
+    if tuning is not None and (nodal is None or elements is None):
+        tuned = tuning.tuned_partition_sizes(
+            machine or MachineConfig(), "hpx", nx, regions, threads
+        )
+        if tuned is not None:
+            (pn, pe), source = tuned, "tuned"
+    if nodal:
+        pn, source = nodal, "explicit"
+    if elements:
+        pe, source = elements, "explicit"
+    return pn, pe, source
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ import pytest
 from repro.amt.errors import AmtError, TaskGroupError
 from repro.amt.graph import reset_segment
 from repro.amt.runtime import AmtRuntime
-from repro.core import driver
+from repro.core import session
 from repro.core.driver import run_hpx, run_naive_hpx
 from repro.core.hpx_lulesh import HpxVariant
 from repro.harness.traceview import to_chrome_trace
@@ -71,7 +71,7 @@ CONFIGS = [("hpx", v) for v in ("fig5", "fig6", "fig7", "full")] + [
 
 
 @contextmanager
-def runtimes_of(cls, module=driver):
+def runtimes_of(cls, module=session):
     """Build *module*'s runtimes as *cls*; yields the list of them."""
     made = []
 
@@ -246,11 +246,12 @@ def test_bodies_run_in_simulated_dispatch_order(workers):
 def build_program(cls, kind, setting, recorder):
     rt = cls(MachineConfig(), CostModel(), 8, record_spans=True,
              flight_recorder=recorder)
-    shape, domain = driver._shape_and_domain(OPTS, True)
+    domain = session.Domain(OPTS)
+    shape = session.ProblemShape.from_domain(domain)
     if kind == "naive":
-        return driver.NaiveHpxProgram(rt, shape, driver.DEFAULT_COSTS, domain)
-    return driver.HpxLuleshProgram(
-        rt, shape, driver.DEFAULT_COSTS, nodal_partition=64,
+        return session.NaiveHpxProgram(rt, shape, session.DEFAULT_COSTS, domain)
+    return session.HpxLuleshProgram(
+        rt, shape, session.DEFAULT_COSTS, nodal_partition=64,
         elements_partition=64, domain=domain,
         variant=getattr(HpxVariant, setting)(),
     )
@@ -314,7 +315,7 @@ def test_memo_is_scoped_to_one_job_on_a_warm_executor(variant, execute):
                    execute=execute)
     payloads = {}
     for cls in (AmtRuntime, ResimulatingRuntime):
-        with runtimes_of(cls, executor):
+        with runtimes_of(cls):
             warm = executor.WarmExecutor(resolved)
         runs = []
         for _ in range(2):
