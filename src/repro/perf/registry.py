@@ -218,6 +218,20 @@ class CounterRegistry:
         """All recorded samples, in sampling order."""
         return list(self._samples)
 
+    def last_values(self) -> dict[str, float]:
+        """Each counter's sample in the last interval, without a new read.
+
+        Reading a :class:`RatioCounter` again would measure the empty
+        interval since its last sample, so a finished run's final values
+        are its last recorded samples.  Only the last interval is walked.
+        """
+        out: dict[str, float] = {}
+        for s in reversed(self._samples):
+            if s.interval != self._interval:
+                break
+            out[s.path] = s.value
+        return out
+
     def series(self, path: str) -> list[CounterSample]:
         """The recorded samples of one counter, in interval order."""
         self.counter(path)  # raise on unknown path
