@@ -24,12 +24,12 @@ is persisted in the tuning database.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.core.hpx_lulesh import HpxVariant
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.lulesh.options import LuleshOptions
+from repro.serve.fingerprint import canonical_json
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.policy import SchedulerPolicy
@@ -200,16 +200,12 @@ class Evaluator:
 
     def trial_key(self, config: TuningConfig) -> str:
         """Content address of one trial: sha256 over the canonical JSON."""
-        payload = json.dumps(
-            {
-                "fingerprint": self.fingerprint(),
-                "shape": self.shape(),
-                "iterations": self.iterations,
-                "config": config.as_dict(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        payload = canonical_json({
+            "fingerprint": self.fingerprint(),
+            "shape": self.shape(),
+            "iterations": self.iterations,
+            "config": config.as_dict(),
+        })
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # --- evaluation -----------------------------------------------------------
