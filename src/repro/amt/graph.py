@@ -31,7 +31,8 @@ A template is only valid while the graph's structure is: programs must
 invalidate (drop) it when the variant, partition sizes, or shape change,
 when a checkpoint rollback rewinds the cycle counter, or when a fault
 injector plans to strike the upcoming cycle (fault draws happen at task
-*creation*, which a replayed cycle never performs).
+*creation*, which a replayed cycle never performs).  The LULESH programs
+share that rule in :class:`~repro.core.program.GraphProgram`.
 """
 
 from __future__ import annotations

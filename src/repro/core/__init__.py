@@ -17,6 +17,12 @@ Three orchestrations of the *same* LULESH kernels:
 Figs. 5-8 as :class:`~repro.core.hpx_lulesh.HpxVariant` flags, so the
 ablation bench can quantify each trick separately.
 
+The three programs share :mod:`~repro.core.program`: its
+:class:`~repro.core.program.CycleProgram` runs one cycle's prologue and the
+multi-cycle loop for all three, and its
+:class:`~repro.core.program.GraphProgram` holds the one capture/replay rule
+of the two AMT programs.
+
 :mod:`~repro.core.driver` runs any orchestration in two modes: *execute*
 (real NumPy physics, used to verify bit-identical results against the
 sequential reference) and *simulate* (timing-only on the simulated machine,

@@ -19,13 +19,12 @@ argument.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.core.kernel_graph import EOS_LOOPS_PER_REP, ProblemShape
+from repro.core.program import CycleProgram
 from repro.lulesh.catalogue import KERNELS
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
-from repro.lulesh.kernels.constraints import reduce_time_constraints, time_increment
+from repro.lulesh.kernels.constraints import reduce_time_constraints
 from repro.openmp.runtime import OmpRuntime
 
 __all__ = ["omp_iteration", "OmpLuleshProgram"]
@@ -161,8 +160,13 @@ def omp_iteration(
     omp.single(_SERIAL_NS_PER_ITER)
 
 
-class OmpLuleshProgram:
-    """Multi-iteration OpenMP-structured LULESH run."""
+class OmpLuleshProgram(CycleProgram):
+    """Multi-iteration OpenMP-structured LULESH run.
+
+    Injected faults fire at parallel-region entry (OpenMP's closest
+    analogue to a task boundary); physics aborts propagate directly from
+    the inlined kernel bodies as they always have.
+    """
 
     def __init__(
         self,
@@ -172,49 +176,14 @@ class OmpLuleshProgram:
         domain: Domain | None = None,
         task_local_temporaries: bool = True,
     ) -> None:
-        self.omp = omp
-        self.shape = shape
-        self.costs = costs
-        self.domain = domain
-        self._timing_cycle = 0  # cycle counter for timing-only runs
+        super().__init__(omp, shape, costs, domain)
         if domain is not None:
             domain.configure_workspace(task_local_temporaries)
 
-    def step(self) -> None:
-        """Advance exactly one leapfrog cycle.
-
-        Injected faults fire at parallel-region entry (OpenMP's closest
-        analogue to a task boundary); physics aborts propagate directly
-        from the inlined kernel bodies as they always have.
-        """
-        d = self.domain
-        if d is not None:
-            time_increment(d)
-            phase = d.workspace.phase()
-            cycle = d.cycle
-        else:
-            self._timing_cycle += 1
-            phase = nullcontext()
-            cycle = self._timing_cycle
-        injector = self.omp.fault_injector
-        if injector is not None:
-            injector.begin_cycle(cycle)
-            if d is not None:
-                injector.corrupt_fields(d)
+    def _iterate(self, cycle: int, injector) -> None:
         # The iteration boundary is marked (and counters sampled) even when
         # the cycle fails, so a failed run still exports its last state.
         try:
-            with phase:
-                omp_iteration(self.omp, self.shape, self.costs, d)
+            omp_iteration(self.rt, self.shape, self.costs, self.domain)
         finally:
-            self.omp.end_iteration()
-
-    def run(self, iterations: int) -> None:
-        """Advance *iterations* leapfrog cycles (or fewer if stoptime hits)."""
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        for _ in range(iterations):
-            if self.domain is not None:
-                if self.domain.time >= self.domain.opts.stoptime:
-                    break
-            self.step()
+            self.rt.end_iteration()
