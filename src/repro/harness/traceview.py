@@ -148,15 +148,13 @@ def to_chrome_trace(
     spans: Sequence[TaskSpan],
     process_name: str = "simulated-machine",
     n_workers: int | None = None,
-    flow_events: bool = True,
-    counter_tracks: bool = True,
 ) -> list[dict]:
     """Convert task spans to Chrome trace-event dicts.
 
     Times are emitted in microseconds (the trace-event unit); worker ids
     become thread ids, named ``worker-N`` via ``thread_name`` metadata.
-    ``flow_events`` adds dependency arrows (``ph: "s"/"f"``) along recorded
-    ``TaskSpan.parents`` edges; ``counter_tracks`` adds ``ph: "C"``
+    Dependency arrows (``ph: "s"/"f"``) follow the recorded
+    ``TaskSpan.parents`` edges, and ``ph: "C"`` counter tracks draw the
     utilization curves.  Pass ``n_workers`` to name idle workers too.
     """
     events = _metadata_events(spans, process_name, n_workers)
@@ -173,10 +171,8 @@ def to_chrome_trace(
                 "args": {"task_id": span.task_id, "cycle": span.cycle},
             }
         )
-    if flow_events:
-        events.extend(_flow_events(spans))
-    if counter_tracks:
-        events.extend(_counter_events(spans))
+    events.extend(_flow_events(spans))
+    events.extend(_counter_events(spans))
     return events
 
 
@@ -185,21 +181,11 @@ def write_chrome_trace(
     spans: Sequence[TaskSpan],
     process_name: str = "simulated-machine",
     n_workers: int | None = None,
-    flow_events: bool = True,
-    counter_tracks: bool = True,
 ) -> None:
     """Write a ``chrome://tracing``-loadable JSON file."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(
-            {
-                "traceEvents": to_chrome_trace(
-                    spans,
-                    process_name,
-                    n_workers=n_workers,
-                    flow_events=flow_events,
-                    counter_tracks=counter_tracks,
-                )
-            },
+            {"traceEvents": to_chrome_trace(spans, process_name, n_workers)},
             fh,
         )
 

@@ -47,7 +47,6 @@ from repro.obs.spans import (
     SpanTracer,
     spans_to_chrome_trace,
     spans_to_jsonl_lines,
-    task_spans_to_obs_spans,
     write_span_timeline,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "SpanTracer",
     "spans_to_chrome_trace",
     "spans_to_jsonl_lines",
-    "task_spans_to_obs_spans",
     "write_span_timeline",
     "MetricSeries",
     "MetricStore",

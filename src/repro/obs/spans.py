@@ -21,11 +21,6 @@ Timing model (documented, deliberate):
 * **Lamport clocks** tick on every span start and merge on every receive
   (``observe``), so causal order is checkable independently of the
   virtual-time alignment.
-
-Single-node task schedules recorded by the simulated worker pool
-(:class:`~repro.simcore.trace.TaskSpan`) can be lifted into the same span
-vocabulary with :func:`task_spans_to_obs_spans`, keyed by ``(cycle,
-task_id)`` so replayed cycles never collide.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ __all__ = [
     "SpanTracer",
     "spans_to_chrome_trace",
     "spans_to_jsonl_lines",
-    "task_spans_to_obs_spans",
     "write_span_timeline",
 ]
 
@@ -271,38 +265,6 @@ class SpanTracer:
             )
             self._now[r] = span.end_ns
             self.spans.append(span)
-
-
-def task_spans_to_obs_spans(
-    task_spans: Sequence, rank: int = 0
-) -> list[Span]:
-    """Lift recorded :class:`~repro.simcore.trace.TaskSpan` rows into spans.
-
-    Identity is keyed by ``(cycle, task_id)`` — encoded into ``span_id`` as
-    a per-cycle offset — so spans from replayed cycles never collide with
-    cycle-1 spans even if task ids were ever reused.  The worker id is kept
-    in the span name; dependency parents are not lifted (the Chrome-trace
-    flow events already carry them).
-    """
-    spans: list[Span] = []
-    if not task_spans:
-        return spans
-    stride = max(s.task_id for s in task_spans) + 1
-    for s in task_spans:
-        cycle = getattr(s, "cycle", 0)
-        spans.append(
-            Span(
-                span_id=cycle * stride + s.task_id,
-                name=s.tag,
-                rank=rank,
-                kind="compute",
-                start_ns=s.start_ns,
-                end_ns=s.end_ns,
-                clock=0,
-                cycle=cycle,
-            )
-        )
-    return spans
 
 
 # --- merged-timeline exports --------------------------------------------------

@@ -10,10 +10,8 @@ from repro.obs import (
     SpanTracer,
     spans_to_chrome_trace,
     spans_to_jsonl_lines,
-    task_spans_to_obs_spans,
     write_span_timeline,
 )
-from repro.simcore.trace import TaskSpan
 
 
 def fake_wall(step_ns=100):
@@ -107,23 +105,6 @@ class TestMessageCausality:
         tr = SpanTracer(n_ranks=1)
         tr.sync_all("allreduce")
         assert tr.spans == []
-
-
-class TestTaskSpanLift:
-    def test_cycle_keyed_ids_never_collide(self):
-        # same task_id in two replayed cycles must yield distinct span ids
-        task_spans = [
-            TaskSpan(worker=0, task_id=7, tag="a", start_ns=0, end_ns=10,
-                     cycle=1),
-            TaskSpan(worker=0, task_id=7, tag="a", start_ns=20, end_ns=30,
-                     cycle=2),
-        ]
-        spans = task_spans_to_obs_spans(task_spans)
-        assert len({s.span_id for s in spans}) == 2
-        assert [s.cycle for s in spans] == [1, 2]
-
-    def test_empty_input(self):
-        assert task_spans_to_obs_spans([]) == []
 
 
 class TestExports:
