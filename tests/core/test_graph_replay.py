@@ -161,14 +161,17 @@ class TestResilienceInteraction:
         assert abs(res.domain.origin_energy() - ref) <= 1e-8 * abs(ref)
         assert registry.counter("/graph/invalidations").sample_value() >= 1
 
-    def test_fault_cycle_is_not_captured(self):
+    @pytest.mark.parametrize(
+        "run", [run_hpx, run_naive_hpx], ids=["hpx", "naive"]
+    )
+    def test_fault_cycle_is_not_captured(self, run):
         """A stall fault at cycle 2 must neither replay a stale graph nor
         capture one poisoned by the inflated task cost."""
-        base = run_hpx(OPTS, 4, 4, execute=True, replay_graph=False)
+        base = run(OPTS, 4, 4, execute=True, replay_graph=False)
         plan = ResiliencePlan(inject=("task:*:stall@2",), fault_seed=3)
         registry = CounterRegistry()
-        res = run_hpx(OPTS, 4, 4, execute=True, resilience=plan,
-                      replay_graph=True, registry=registry)
+        res = run(OPTS, 4, 4, execute=True, resilience=plan,
+                  replay_graph=True, registry=registry)
         # physics unharmed by a stall; timing differs only on the
         # fault cycle, which ran outside any capture
         ref = base.domain.origin_energy()
@@ -178,3 +181,29 @@ class TestResilienceInteraction:
         # an armed injector keeps every replay on the simulator
         assert registry.counter("/graph/memo-hits").sample_value() == 0
         assert plan.stats.injected_faults >= 1
+
+
+class TestBarrierCount:
+    """A replayed cycle reports the barrier count of the graph it re-fires."""
+
+    @pytest.mark.parametrize(
+        "variant,barriers", [("fig5", 18), ("fig6", 6), ("fig7", 6), ("full", 6)]
+    )
+    def test_replay_keeps_the_built_count(self, variant, barriers):
+        def program():
+            opts = LuleshOptions(nx=4, numReg=3)
+            return HpxLuleshProgram(
+                AmtRuntime(MachineConfig(), CostModel(), 8),
+                ProblemShape.from_options(opts), DEFAULT_COSTS,
+                nodal_partition=32, elements_partition=32,
+                variant=HpxVariant.named(variant),
+            )
+
+        fresh = program()
+        fresh.build_iteration()
+        fresh.rt.flush()
+        replayed = program()
+        replayed.run(3)
+        assert replayed.graph_stats.replays == 2
+        assert fresh.barriers_per_iteration == barriers
+        assert replayed.barriers_per_iteration == barriers
