@@ -178,8 +178,10 @@ class AmtRuntime:
         self.fault_injector = fault_injector
         self.replay = replay
         self.flight_recorder = flight_recorder
-        # The replay memo: the template last replayed in this run and, per
-        # segment, its first task id and the pool's result (replay_graph).
+        # The replay memo: the template last replayed on this runtime and,
+        # per segment, its first task id and the pool's result
+        # (replay_graph).  It outlives reset_stats, so a warm executor's
+        # later jobs re-apply it.
         self._memo_template: GraphTemplate | None = None
         self._memo: list[tuple[int, PoolResult]] = []
         #: Whether the last ``replay_graph`` re-applied memoized results.
@@ -573,18 +575,20 @@ class AmtRuntime:
         reset loops only (execution excluded) — the like-for-like
         counterpart of a build's construction time.
 
-        The first replay of a template in a run simulates each segment on
-        the pool and memoizes the results; later replays of the same
-        template re-apply them (:meth:`SimWorkerPool.reapply`) and fold
-        them as a simulated segment would be folded: the same stats,
+        The first replay of a template on this runtime simulates each
+        segment on the pool and memoizes the results; later replays of the
+        same template re-apply them (:meth:`SimWorkerPool.reapply`) and
+        fold them as a simulated segment would be folded: the same stats,
         spans (ids shifted), flight events and flush hooks.  That is exact
         because the simulation depends only on the segment, whose costs
         the re-arm restores, and on the pool's fixed machine, cost model,
-        policy and workers.  The memo holds one template: replaying
-        another one, or :meth:`reset_stats`, drops it.  While a fault
-        injector or a replay policy is set it is neither read nor written,
-        since stalls and retry backoff change a task's cost mid-cycle.
-        :attr:`replayed_from_memo` tells whether this replay re-applied.
+        policy and workers.  The memo holds one template and outlives
+        :meth:`reset_stats`, so the later jobs of a warm executor re-apply
+        it from their first replay; replaying another template replaces
+        it.  While a fault injector or a replay policy is set it is
+        neither read nor written, since stalls and retry backoff change a
+        task's cost mid-cycle.  :attr:`replayed_from_memo` tells whether
+        this replay re-applied.
         """
         if self._pending:
             raise AmtError("cannot replay with pending tasks")
@@ -639,16 +643,17 @@ class AmtRuntime:
         return self._stats
 
     def reset_stats(self) -> None:
-        """Clear accumulated statistics and the replay memo (a new run).
+        """Clear accumulated statistics (a new run).
 
-        Pending tasks are unaffected.
+        Pending tasks and the replay memo are unaffected: a memoized
+        simulation stays exact for as long as its template is replayed
+        (:meth:`replay_graph`).
         """
         if self._pending:
             raise AmtError("cannot reset stats with pending (uncounted) tasks")
         self._stats = RunStats(
             n_workers=self.n_workers, record_spans=self._record_spans
         )
-        self._memo_template, self._memo = None, []
 
     @property
     def n_pending(self) -> int:

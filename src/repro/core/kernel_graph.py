@@ -13,6 +13,7 @@ timing-only mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts, iteration_work_ns
 from repro.lulesh.domain import Domain
@@ -44,22 +45,15 @@ class ProblemShape:
     def from_options(cls, opts: LuleshOptions) -> "ProblemShape":
         """Build the shape without allocating field arrays.
 
-        Region assignment runs for real (it is cheap and determines the
-        load-imbalance structure); mesh fields are not allocated.
+        Region assignment runs for real, since it determines the
+        load-imbalance structure; mesh fields are not allocated.  The
+        assignment is LULESH's rand()-driven run-length draw and is not
+        cheap (0.73 s at s=150), so shapes are memoized per ``(nx,
+        numReg, region_balance, region_cost)``, the only options read.
+        Equal tuples share one frozen instance.
         """
-        regions = RegionSet(
-            num_elem=opts.numElem,
-            num_reg=opts.numReg,
-            balance=opts.region_balance,
-            cost=opts.region_cost,
-        )
-        return cls(
-            nx=opts.nx,
-            num_elem=opts.numElem,
-            num_node=opts.numNode,
-            num_symm_nodes=(opts.nx + 1) ** 2,
-            region_sizes=tuple(int(s) for s in regions.reg_elem_sizes),
-            region_reps=tuple(regions.rep(r) for r in range(regions.num_reg)),
+        return _shape_from_options(
+            opts.nx, opts.numReg, opts.region_balance, opts.region_cost
         )
 
     @classmethod
@@ -84,3 +78,22 @@ class ProblemShape:
         return iteration_work_ns(
             costs, self.num_elem, self.num_node, self.region_sizes, self.region_reps
         )
+
+
+@lru_cache(maxsize=None)
+def _shape_from_options(
+    nx: int, num_reg: int, balance: int, cost: int
+) -> ProblemShape:
+    """:meth:`ProblemShape.from_options` of one option tuple (memoized)."""
+    num_elem = nx**3
+    regions = RegionSet(
+        num_elem=num_elem, num_reg=num_reg, balance=balance, cost=cost
+    )
+    return ProblemShape(
+        nx=nx,
+        num_elem=num_elem,
+        num_node=(nx + 1) ** 3,
+        num_symm_nodes=(nx + 1) ** 2,
+        region_sizes=tuple(int(s) for s in regions.reg_elem_sizes),
+        region_reps=tuple(regions.rep(r) for r in range(regions.num_reg)),
+    )
