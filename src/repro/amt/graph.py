@@ -17,8 +17,9 @@ Replay changes *real* wall clock only.  Simulated time is untouched: the
 pool charges the identical serialized spawn costs in the identical order
 and assigns fresh, consecutive task ids per run, so DES makespans, traces,
 counters, and the executed physics are bit-identical to rebuilding the
-graph from scratch.  Within one run the runtime simulates a template only
-at its first replay and re-applies the memoized outcome at later ones
+graph from scratch.  A runtime simulates a template only at its first
+replay and re-applies the memoized outcome at later ones, across runs too:
+a warm campaign executor's later jobs re-apply the simulation of its first
 (:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).
 
 Segmentation exists for the Fig. 5 (unchained) variant, whose build

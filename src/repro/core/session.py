@@ -240,7 +240,8 @@ class Session:
         Restores the domain's fields in place from the initial state (the
         kernel closures, captured template and shared-memory views stay
         valid) and zeroes the runtime's and the program's per-run
-        bookkeeping; the captured template and the worker pool survive.
+        bookkeeping; the captured template, the runtime's replay memo and
+        the worker pool survive.
         The process backend takes *flight_recorder* here.
         """
         if self.domain is not None:

@@ -254,7 +254,11 @@ def install_graph_counters(registry: CounterRegistry, stats) -> None:
     capture & replay activity: how often the iteration graph was captured,
     re-fired (and how many re-fires re-applied a memoized simulation), or
     thrown away, and the real (host) time split between building graphs
-    and re-arming captured ones.
+    and re-arming captured ones.  The memo belongs to the runtime, so on a
+    warm campaign executor it can come from an earlier job.  The
+    ``/graph/memo-hits`` description keeps its older wording ("the run's")
+    because every ``--counters`` file carries it verbatim and
+    ``tests/integration/test_run_snapshot.py`` pins those files.
     """
     registry.register_gauge(
         "/graph/captures",
