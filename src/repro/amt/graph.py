@@ -20,7 +20,11 @@ counters, and the executed physics are bit-identical to rebuilding the
 graph from scratch.  A runtime simulates a template only at its first
 replay and re-applies the memoized outcome at later ones, across runs too:
 a warm campaign executor's later jobs re-apply the simulation of its first
-(:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).
+(:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).  A re-applied
+segment normally runs its bodies again.  A *timing-only* template (one
+captured by a program without a Domain) whose segment still holds every
+outcome its bodies would store is served without re-arming it or running
+a body: only its task ids and statistics move (:func:`is_settled`).
 
 Segmentation exists for the Fig. 5 (unchained) variant, whose build
 interleaves blocking ``wait_all`` barriers: each flush becomes one
@@ -49,6 +53,7 @@ __all__ = [
     "CapturedSegment",
     "GraphTemplate",
     "GraphStats",
+    "is_settled",
     "reset_segment",
     "snapshot_segment",
 ]
@@ -79,9 +84,18 @@ class CapturedSegment:
 
 @dataclass(frozen=True)
 class GraphTemplate:
-    """An immutable captured iteration graph: segments in execution order."""
+    """An immutable captured iteration graph: segments in execution order.
+
+    ``timing_only`` marks a graph captured by a program without a Domain.
+    Its bodies compute nothing: each can only store the outcome its future
+    already holds from the last execution (``None``, a constant, or the
+    same input list), unless an input failed.  A memo hit may therefore
+    serve its settled segments without running them
+    (:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).
+    """
 
     segments: tuple[CapturedSegment, ...]
+    timing_only: bool = False
 
     @property
     def n_segments(self) -> int:
@@ -115,8 +129,9 @@ class GraphStats:
         build_ns: real wall-clock spent constructing graphs, execution
             excluded (Python-side task/future/closure creation only).
         replay_ns: real wall-clock spent re-arming captured graphs
-            (the reset loops), execution excluded — the direct
-            like-for-like comparison against ``build_ns``.
+            (the reset loops, or the settled checks that stand in for
+            them), execution excluded — the direct like-for-like
+            comparison against ``build_ns``.
     """
 
     captures: int = 0
@@ -153,6 +168,19 @@ def reset_segment(segment: CapturedSegment) -> None:
     costs = segment.costs
     for i in range(len(tasks)):
         tasks[i].reset_for_replay(costs[i])
+
+
+def is_settled(segment: CapturedSegment) -> bool:
+    """Whether every future of *segment* holds a value and no exception.
+
+    A future whose one-shot value was taken by ``get`` no longer holds it.
+    Only reads the futures: a segment that is not settled is left as it
+    is, for :func:`reset_segment`.
+    """
+    for fut in segment.futures:
+        if not fut._has_value or fut._retrieved or fut._exception is not None:
+            return False
+    return True
 
 
 def snapshot_segment(

@@ -52,7 +52,12 @@ from typing import Any, Callable, Sequence
 
 from repro.amt.errors import AmtError, TaskGroupError
 from repro.amt.future import Future
-from repro.amt.graph import GraphTemplate, reset_segment, snapshot_segment
+from repro.amt.graph import (
+    GraphTemplate,
+    is_settled,
+    reset_segment,
+    snapshot_segment,
+)
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.policy import SchedulerPolicy
@@ -130,10 +135,13 @@ class RunStats:
 class AmtRuntime:
     """HPX-like runtime bound to a simulated machine.
 
-    Task bodies always execute — they carry the future-value bookkeeping
-    (``when_all``/``dataflow`` readiness).  Timing-only runs simply bind
-    no-op user functions, which is what the drivers in :mod:`repro.core`
-    do when no :class:`~repro.lulesh.domain.Domain` is attached.
+    Task bodies carry the future-value bookkeeping (``when_all``/``dataflow``
+    readiness), so a flushed or simulated segment always executes them.
+    Timing-only runs bind no-op user functions, which is what the drivers
+    in :mod:`repro.core` do when no :class:`~repro.lulesh.domain.Domain`
+    is attached; a replay that re-applies such a run's memoized segment
+    skips bodies whose futures already hold their outcome
+    (:meth:`replay_graph`).
 
     Args:
         machine: the simulated multicore.
@@ -450,12 +458,15 @@ class AmtRuntime:
         self,
         tasks: Sequence[SimTask],
         memo: tuple[int, PoolResult] | None = None,
+        settled: bool = False,
     ) -> PoolResult:
         """Execute one segment and fold its outcome into stats.
 
         *memo* is ``(first task id, result)`` of this segment's earlier
         simulated run; with it the pool re-applies that result instead of
-        simulating, and the fold shifts the recorded task ids.
+        simulating, and the fold shifts the recorded task ids.  A
+        *settled* segment's tasks and futures already hold that outcome,
+        so the pool only renumbers them.
         """
         if self._flushing:
             raise AmtError("re-entrant flush")
@@ -466,7 +477,10 @@ class AmtRuntime:
                 result = self._pool.run(tasks, spawn_worker=0)
             else:
                 result = memo[1]
-                self._pool.reapply(tasks, result)
+                if settled:
+                    self._pool.renumber(tasks)
+                else:
+                    self._pool.reapply(tasks, result)
         finally:
             self._flushing = False
             self.real_exec_ns += time.perf_counter_ns() - t0
@@ -546,8 +560,15 @@ class AmtRuntime:
             raise AmtError("cannot begin capture with pending tasks")
         self._recorder = _GraphRecorder()
 
-    def end_capture(self) -> GraphTemplate:
-        """Stop recording and freeze the captured graph into a template."""
+    def end_capture(self, timing_only: bool = False) -> GraphTemplate:
+        """Stop recording and freeze the captured graph into a template.
+
+        Pass ``timing_only=True`` only for a graph whose bodies compute
+        nothing (a program without a Domain): every body stores the outcome
+        its future already holds unless an input failed.  Memo hits of
+        such a template skip its settled segments' re-arm and bodies
+        (:meth:`replay_graph`).
+        """
         rec = self._recorder
         if rec is None:
             raise AmtError("no active graph capture")
@@ -556,7 +577,9 @@ class AmtRuntime:
             raise AmtError(
                 "cannot end capture with unflushed tasks; flush first"
             )
-        return GraphTemplate(segments=tuple(rec.segments))
+        return GraphTemplate(
+            segments=tuple(rec.segments), timing_only=timing_only
+        )
 
     def abort_capture(self) -> None:
         """Discard an active capture (e.g. the recorded build failed)."""
@@ -589,6 +612,17 @@ class AmtRuntime:
         neither read nor written, since stalls and retry backoff change a
         task's cost mid-cycle.  :attr:`replayed_from_memo` tells whether
         this replay re-applied.
+
+        A memo hit of a timing-only template (:meth:`end_capture`) serves
+        each settled segment — every future holds a value, none an
+        exception (:func:`~repro.amt.graph.is_settled`) — as it stands: no
+        re-arm and no body runs, the pool gives its tasks fresh ids
+        (:meth:`SimWorkerPool.renumber`), and the fold and the barrier
+        check follow as above.  That is exact because such a body can only
+        store the outcome its future already holds, and a hit has no fault
+        injector and no replay policy to change one; the returned duration
+        then covers the settled checks.  Any other segment is re-armed and
+        re-applied.
         """
         if self._pending:
             raise AmtError("cannot replay with pending tasks")
@@ -600,13 +634,16 @@ class AmtRuntime:
         if fill:
             self._memo_template, self._memo = None, []
         self.replayed_from_memo = hit
+        keep = hit and template.timing_only
         rearm_ns = 0
         for k, seg in enumerate(template.segments):
             t0 = time.perf_counter_ns()
-            reset_segment(seg)
+            settled = keep and is_settled(seg)
+            if not settled:
+                reset_segment(seg)
             rearm_ns += time.perf_counter_ns() - t0
             if hit:
-                self._run_segment(seg.tasks, self._memo[k])
+                self._run_segment(seg.tasks, self._memo[k], settled)
             else:
                 result = self._run_segment(seg.tasks)
                 if fill:

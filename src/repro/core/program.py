@@ -219,7 +219,9 @@ class GraphProgram(CycleProgram):
         # pool-execution time.
         stats.build_ns += time.perf_counter_ns() - t0 - (rt.real_exec_ns - exec0)
         if capture:
-            self._template = rt.end_capture()
+            # Without a Domain every body is bookkeeping only: memo hits
+            # may skip the bodies of settled segments.
+            self._template = rt.end_capture(timing_only=self.domain is None)
             self._template_final = final
             self._template_key = self._graph_key()
             stats.captures += 1

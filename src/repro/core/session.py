@@ -298,10 +298,16 @@ class Session:
             if cause is not None:
                 raise cause from group
             raise
+        finally:
+            if self.impl == "omp":
+                # Break runtime -> sampler hook -> registry -> counters ->
+                # runtime, so the run's runtime is freed without the
+                # cyclic garbage collector.
+                rt.clear_iteration_hooks()
         if self.backend is not None and registry is not None:
             # The wall clock extends the simulated timeline, so sample
             # times stay monotone.
-            registry.sample(rt.stats.total_ns + self.backend.stats.wall_ns)
+            registry.record(rt.stats.total_ns + self.backend.stats.wall_ns)
         return self._result(rt.stats, iterations)
 
     def _attach(self, rt, registry, plan, flight_recorder) -> None:

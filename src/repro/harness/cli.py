@@ -1341,7 +1341,7 @@ def _campaign_run(args: argparse.Namespace) -> int:
                       f"{pass_hits} from cache ({rate:.0%})")
     finally:
         scheduler.close()
-    registry.sample(stats.wall_ns)
+    registry.record(stats.wall_ns)
     total = stats.cache.hits + stats.cache.misses
     hit_rate = stats.cache.hits / total if total else 0.0
     if not args.q:

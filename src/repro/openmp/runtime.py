@@ -287,6 +287,16 @@ class OmpRuntime:
         """
         self._iteration_hooks.append(hook)
 
+    def clear_iteration_hooks(self) -> None:
+        """Drop every registered iteration hook.
+
+        A counter sampler's hook holds its registry, whose counters hold
+        this runtime: clearing the hooks when a run returns lets the
+        runtime (and its loop-cost memo) be freed without waiting for the
+        cyclic garbage collector.
+        """
+        self._iteration_hooks.clear()
+
     def end_iteration(self) -> None:
         """Mark one leapfrog-iteration boundary (fires sampling hooks)."""
         if self._in_region:

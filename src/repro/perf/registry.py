@@ -14,8 +14,11 @@ Three pieces:
   :class:`RatioCounter` (per-interval delta ratios: idle-rate, reported in
   HPX's ``[0.01%]`` unit);
 * :class:`CounterRegistry` — registration, ``*``-wildcard path discovery,
-  and per-interval sampling (one :class:`CounterSample` row per counter per
-  interval);
+  and per-interval sampling.  Each interval is stored as one row: its
+  time and every counter's value, in registration order.  The
+  :class:`CounterSample` views (one per counter per interval) are built
+  only when read, so a run that samples at every flush pays for the
+  counter reads alone;
 * the ``hpx:print-counter`` output surface —
   :meth:`CounterRegistry.format_print_counter` emits the artifact-style
   ``counter,sequence,timestamp,[s],value[,unit]`` CSV lines and
@@ -134,8 +137,11 @@ class CounterRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._samples: list[CounterSample] = []
-        self._interval = 0
+        self._reads: list[Callable[[], float]] = []
+        # One row per interval: its time and, in registration order, the
+        # values of the counters registered by then (a later counter has
+        # no value in earlier rows).
+        self._rows: list[tuple[int, list[float]]] = []
 
     # --- registration ------------------------------------------------------
 
@@ -144,6 +150,7 @@ class CounterRegistry:
         if counter.path in self._counters:
             raise ValueError(f"counter {counter.path!r} already registered")
         self._counters[counter.path] = counter
+        self._reads.append(counter.sample_value)
         return counter
 
     def register_gauge(
@@ -198,44 +205,60 @@ class CounterRegistry:
 
     # --- sampling ----------------------------------------------------------
 
+    def record(self, time_ns: int) -> None:
+        """Read every counter for the interval ending at *time_ns*.
+
+        Stores one row; the runtimes' sampling hooks call this.
+        """
+        self._rows.append((time_ns, [read() for read in self._reads]))
+
     def sample(self, time_ns: int) -> list[CounterSample]:
-        """Snapshot every counter for the interval ending at *time_ns*."""
-        self._interval += 1
-        batch = [
-            CounterSample(c.path, self._interval, time_ns, c.sample_value())
-            for c in self._counters.values()
+        """:meth:`record` one interval and return its samples."""
+        self.record(time_ns)
+        interval = len(self._rows)
+        return [
+            CounterSample(path, interval, time_ns, value)
+            for path, value in zip(self._counters, self._rows[-1][1])
         ]
-        self._samples.extend(batch)
-        return batch
 
     @property
     def n_intervals(self) -> int:
         """Sampling intervals recorded so far."""
-        return self._interval
+        return len(self._rows)
 
     @property
     def samples(self) -> list[CounterSample]:
         """All recorded samples, in sampling order."""
-        return list(self._samples)
+        return [
+            CounterSample(path, interval, time_ns, value)
+            for interval, (time_ns, values) in enumerate(self._rows, 1)
+            for path, value in zip(self._counters, values)
+        ]
 
     def last_values(self) -> dict[str, float]:
         """Each counter's sample in the last interval, without a new read.
 
         Reading a :class:`RatioCounter` again would measure the empty
         interval since its last sample, so a finished run's final values
-        are its last recorded samples.  Only the last interval is walked.
+        are its last recorded samples.
         """
-        out: dict[str, float] = {}
-        for s in reversed(self._samples):
-            if s.interval != self._interval:
-                break
-            out[s.path] = s.value
-        return out
+        if not self._rows:
+            return {}
+        return dict(zip(self._counters, self._rows[-1][1]))
+
+    def _column(self, path: str):
+        """``(interval, time_ns, value)`` of each row holding *path*."""
+        self.counter(path)  # raise on unknown path
+        k = list(self._counters).index(path)
+        return [
+            (interval, time_ns, values[k])
+            for interval, (time_ns, values) in enumerate(self._rows, 1)
+            if k < len(values)
+        ]
 
     def series(self, path: str) -> list[CounterSample]:
         """The recorded samples of one counter, in interval order."""
-        self.counter(path)  # raise on unknown path
-        return [s for s in self._samples if s.path == path]
+        return [CounterSample(path, *cell) for cell in self._column(path)]
 
     # --- output surfaces ---------------------------------------------------
 
@@ -258,9 +281,9 @@ class CounterRegistry:
         lines = []
         for path in paths:
             unit = self._counters[path].unit
-            for s in self.series(path):
-                value = format(s.value, ".6g") if s.value % 1 else str(int(s.value))
-                line = f"{path},{s.interval},{s.time_ns / 1e9:.6f},[s],{value}"
+            for interval, time_ns, value in self._column(path):
+                text = format(value, ".6g") if value % 1 else str(int(value))
+                line = f"{path},{interval},{time_ns / 1e9:.6f},[s],{text}"
                 if unit:
                     line += f",{unit}"
                 lines.append(line)
@@ -275,12 +298,12 @@ class CounterRegistry:
                 "unit": c.unit,
                 "description": c.description,
                 "samples": [
-                    {"interval": s.interval, "time_ns": s.time_ns, "value": s.value}
-                    for s in self.series(path)
+                    {"interval": interval, "time_ns": time_ns, "value": value}
+                    for interval, time_ns, value in self._column(path)
                 ],
             }
         return {
             "schema": "lulesh-hpx-counters/1",
-            "n_intervals": self._interval,
+            "n_intervals": len(self._rows),
             "counters": counters,
         }

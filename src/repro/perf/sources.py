@@ -102,7 +102,7 @@ def install_amt_counters(registry: CounterRegistry, rt: AmtRuntime) -> None:
         lambda: rt.stats.n_flushes,
         description="executed segments (blocking barriers + final waits)",
     )
-    rt.add_flush_hook(lambda rt_, _makespan: registry.sample(rt_.stats.total_ns))
+    rt.add_flush_hook(lambda rt_, _makespan: registry.record(rt_.stats.total_ns))
 
 
 def install_omp_counters(registry: CounterRegistry, omp: OmpRuntime) -> None:
@@ -152,7 +152,7 @@ def install_omp_counters(registry: CounterRegistry, omp: OmpRuntime) -> None:
         unit="[ns]",
         description="simulated wall-clock time",
     )
-    omp.add_iteration_hook(lambda omp_: registry.sample(omp_.stats.total_ns))
+    omp.add_iteration_hook(lambda omp_: registry.record(omp_.stats.total_ns))
 
 
 def install_arena_counters(registry: CounterRegistry, domain) -> None:

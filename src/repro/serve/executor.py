@@ -27,6 +27,7 @@ least-recently-used idle executor when a new key needs a slot.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -78,6 +79,12 @@ def executor_key(resolved: dict) -> tuple:
     )
 
 
+@functools.lru_cache(maxsize=4096)
+def _skipped(path: str, skip: tuple[str, ...]) -> bool:
+    """Whether *path* matches a *skip* pattern, decided once per pair."""
+    return any(fnmatch.fnmatch(path, pat) for pat in skip)
+
+
 def _filtered_counters(
     registry: CounterRegistry, skip: tuple[str, ...] = SNAPSHOT_SKIP
 ) -> dict[str, float]:
@@ -85,7 +92,7 @@ def _filtered_counters(
     return {
         path: value
         for path, value in sorted(registry.last_values().items())
-        if not any(fnmatch.fnmatch(path, pat) for pat in skip)
+        if not _skipped(path, skip)
     }
 
 

@@ -229,13 +229,24 @@ class SimWorkerPool:
         return int(round(ns / self._speeds[worker]))
 
     def _number(self, task_list: Sequence[SimTask]) -> int:
-        """Give *task_list* the next consecutive ids; returns the first."""
-        first = self._next_task_id
+        """Give fresh *task_list* the next consecutive ids; returns the first."""
         for task in task_list:
             if task.state != _CREATED:
                 raise ValueError(f"task {task.tag!r} was already executed")
-            task.task_id = self._next_task_id
-            self._next_task_id += 1
+        return self.renumber(task_list)
+
+    def renumber(self, tasks: Sequence[SimTask]) -> int:
+        """Give *tasks* the next consecutive ids, whatever their state.
+
+        Returns the first id.  :meth:`run` and :meth:`reapply` number
+        fresh tasks through it; the runtime calls it alone for a segment
+        it serves as already executed
+        (:meth:`~repro.amt.runtime.AmtRuntime.replay_graph`).
+        """
+        first = self._next_task_id
+        for task_id, task in enumerate(tasks, first):
+            task.task_id = task_id
+        self._next_task_id = first + len(tasks)
         return first
 
     # --- execution -------------------------------------------------------------

@@ -95,7 +95,7 @@ class Tuner:
             outcome = self.evaluator.evaluate(config)
             trials.append(outcome)
             if self.registry is not None:
-                self.registry.sample(stats.simulated_ns)
+                self.registry.record(stats.simulated_ns)
             if self.flight_recorder is not None:
                 self.flight_recorder.record(
                     "tuner_trial",

@@ -1,8 +1,12 @@
 """Unit tests for the OpenMP-structured orchestration."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core import session
 from repro.core.kernel_graph import EOS_LOOPS_PER_REP, ProblemShape
 from repro.core.omp_lulesh import OmpLuleshProgram, omp_iteration
 from repro.lulesh.costs import DEFAULT_COSTS
@@ -10,6 +14,7 @@ from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 from repro.lulesh.reference import SequentialDriver
 from repro.openmp.runtime import OmpRuntime
+from repro.perf.registry import CounterRegistry
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 
@@ -116,3 +121,28 @@ class TestTimingBehaviour:
             return omp.stats.total_ns
 
         assert total(24) < total(1)
+
+
+class TestSessionRun:
+    @pytest.mark.parametrize("execute", [False, True])
+    def test_runtime_is_freed_when_the_run_returns(self, execute,
+                                                   monkeypatch):
+        """The counter sampler's hook, the registry and its counters close
+        a reference cycle back to the run's runtime.  The run breaks it,
+        so the runtime goes without the cyclic garbage collector."""
+        refs = []
+
+        def make(*args, **kwargs):
+            omp = OmpRuntime(*args, **kwargs)
+            refs.append(weakref.ref(omp))
+            return omp
+
+        monkeypatch.setattr(session, "OmpRuntime", make)
+        sess = session.Session("omp", LuleshOptions(nx=4, numReg=3), 4,
+                               execute=execute)
+        gc.disable()
+        try:
+            sess.run(2, registry=CounterRegistry())
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()

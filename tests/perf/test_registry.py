@@ -65,6 +65,22 @@ class TestSampling:
         assert values == [5.0, 9.0]
         assert [s.interval for s in reg.series("/v")] == [1, 2]
 
+    def test_counter_registered_later_has_no_earlier_samples(self):
+        reg = CounterRegistry()
+        reg.register_gauge("/a", lambda: 1)
+        reg.sample(10)
+        reg.register_gauge("/b", lambda: 2)
+        reg.sample(20)
+        assert [(s.path, s.interval) for s in reg.samples] == [
+            ("/a", 1), ("/a", 2), ("/b", 2),
+        ]
+        assert [s.time_ns for s in reg.series("/b")] == [20]
+        assert reg.last_values() == {"/a": 1.0, "/b": 2.0}
+        assert reg.to_json_dict()["counters"]["/b"]["samples"] == [
+            {"interval": 2, "time_ns": 20, "value": 2.0}
+        ]
+        assert reg.format_print_counter("/b") == ["/b,2,0.000000,[s],2"]
+
     def test_ratio_samples_interval_delta(self):
         state = {"num": 0, "den": 0}
         reg = CounterRegistry()

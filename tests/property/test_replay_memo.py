@@ -9,7 +9,8 @@ Chrome trace, the flight-recorder JSONL and, in execute mode, every float
 Domain array bit for bit.  They must also fail the same way and skip the
 memo whenever a fault plan or replay policy is armed.  On a warm executor
 the memo outlives the job: it follows the template, through a
-fault-injected job and the recapture after it.
+fault-injected job and the recapture after it.  A timing-only run's hits
+serve its settled segments without re-arming them or running a body.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.amt import runtime
 from repro.amt.errors import AmtError, TaskGroupError
 from repro.amt.graph import reset_segment
 from repro.amt.runtime import AmtRuntime
@@ -162,6 +164,71 @@ def test_memoized_replay_matches_resimulation(kind, setting, threads, execute,
             assert registry.counter("/graph/memo-hits").sample_value() == (
                 CYCLES - 2
             )
+    assert_same(observed[AmtRuntime], observed[ResimulatingRuntime])
+
+
+@contextmanager
+def hit_spies(made):
+    """Log, per ``reset_segment`` and ``SimWorkerPool.reapply`` call of the
+    runtime in *made*, whether its replay was a memo hit."""
+    calls = {"reset_segment": [], "reapply": []}
+    real_reset, real_reapply = runtime.reset_segment, SimWorkerPool.reapply
+
+    def reset(seg):
+        calls["reset_segment"].append(made[0].replayed_from_memo)
+        real_reset(seg)
+
+    def reapply(pool, tasks, result):
+        calls["reapply"].append(made[0].replayed_from_memo)
+        real_reapply(pool, tasks, result)
+
+    with mock.patch.object(runtime, "reset_segment", reset), \
+            mock.patch.object(SimWorkerPool, "reapply", reapply):
+        yield calls
+
+
+@pytest.mark.parametrize("execute", [False, True], ids=["timing", "execute"])
+@pytest.mark.parametrize("threads", [1, 2, 24, 48])
+@pytest.mark.parametrize("kind,setting", CONFIGS,
+                         ids=[s if k != "naive" else k for k, s in CONFIGS])
+def test_timing_only_hits_run_no_body(kind, setting, threads, execute):
+    """The runs test_memoized_replay_matches_resimulation compares with
+    the reference on every observable: their timing-only memo hits
+    neither re-arm a segment nor re-apply its bodies."""
+    with runtimes_of(AmtRuntime) as made, hit_spies(made) as calls:
+        _, registry, _ = run_config(kind, setting, threads, execute)
+    assert registry.counter("/graph/memo-hits").sample_value() == CYCLES - 2
+    if execute:
+        assert calls["reapply"] and all(calls["reapply"])
+    else:
+        assert calls["reapply"] == []
+        assert calls["reset_segment"] and not any(calls["reset_segment"])
+
+
+def test_unsettled_segment_takes_the_full_path(tmp_path):
+    """A Fig. 5 timing-only run (one segment per barrier) whose fourth
+    segment has one future re-armed by hand before cycle 4, a memo hit:
+    that segment alone is re-armed and re-applied."""
+    observed = {}
+    for cls in (AmtRuntime, ResimulatingRuntime):
+        recorder, registry = FlightRecorder(), CounterRegistry()
+        with runtimes_of(cls) as made:
+            sess = session.Session("hpx", OPTS, 8, variant=HpxVariant.fig5(),
+                                   record_spans=True,
+                                   flight_recorder=recorder)
+        sess.run(3, registry=registry)
+        template = sess.program._template
+        assert template.timing_only
+        seg = template.segments[3]
+        seg.futures[0]._reset_for_replay()
+        with hit_spies(made) as calls:
+            sess.program.run(2)
+        if cls is AmtRuntime:
+            assert calls == {"reset_segment": [True], "reapply": [True]}
+            assert seg.futures[0].is_ready()
+        res = sess._result(made[0].stats, 5)
+        observed[cls] = observe(made[0], res, registry, recorder, tmp_path,
+                                cls.__name__)
     assert_same(observed[AmtRuntime], observed[ResimulatingRuntime])
 
 
