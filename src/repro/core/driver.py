@@ -124,13 +124,14 @@ def run_hpx(
     rebuilds its task graph from scratch (the pre-capture behaviour; the
     ``--no-replay-graph`` CLI flag and the tuner's ``replay_graph`` knob).
 
-    ``backend="process"`` (execute mode only) runs warm cycles on real
-    cores: a :class:`~repro.parallel.backend.ParallelHpxBackend` lowers the
-    captured graph to a wave schedule and drives *backend_workers* (default
-    2) shared-memory worker processes with it — bit-identical fields, and
-    ``RunResult.runtime_ns`` becomes **measured host wall-clock** instead
-    of simulated time (utilization and ``n_tasks`` still describe the
-    simulated serial-fallback cycles only).  *supervision* (a
+    ``backend="process"`` (execute mode only) replays warm cycles on real
+    cores: a :class:`~repro.parallel.backend.ParallelHpxBackend` becomes
+    the program's replay engine, lowers each captured template to a wave
+    schedule and drives *backend_workers* (default 2) shared-memory worker
+    processes with it — bit-identical fields, and ``RunResult.runtime_ns``
+    becomes **measured host wall-clock** instead of simulated time
+    (utilization and ``n_tasks`` still describe the cycles that fell back
+    to the simulated pool only).  *supervision* (a
     :class:`~repro.parallel.supervisor.SupervisionConfig`) tunes the
     backend's self-healing — watchdog deadline, respawn budget, and
     whether budget exhaustion degrades to the serial path or fails the

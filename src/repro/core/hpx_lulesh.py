@@ -132,8 +132,6 @@ class HpxLuleshProgram(GraphProgram):
         variant: HpxVariant = HpxVariant.full(),
         balanced_partitions: bool = False,
         replay_graph: bool = True,
-        backend: str = "sim",
-        backend_workers: int | None = None,
     ) -> None:
         super().__init__(rt, shape, costs, domain, replay_graph)
         self.nodal_partition = nodal_partition
@@ -143,13 +141,6 @@ class HpxLuleshProgram(GraphProgram):
             rt.cost_model, task_local=variant.task_local_temporaries
         )
         self.balanced_partitions = balanced_partitions
-        # Execution backend identity ("sim" DES pool, or "process" real
-        # cores via repro.parallel) and its worker count.  Part of the
-        # template invalidation key: a backend switch mid-run must rebuild
-        # the graph instead of replaying a schedule lowered for the other
-        # backend.
-        self.backend = backend
-        self.backend_workers = backend_workers
         self.barriers_per_iteration = 0
         if domain is not None:
             domain.configure_workspace(variant.task_local_temporaries)
@@ -442,8 +433,6 @@ class HpxLuleshProgram(GraphProgram):
             self.elements_partition,
             self.balanced_partitions,
             self.shape,
-            self.backend,
-            self.backend_workers,
         )
 
     def _build(self) -> Future:

@@ -4,16 +4,18 @@
 ``TimeIncrement`` (execute mode) or the cycle counter of a timing-only
 run, the fault injector's per-cycle hooks, and one gather-cache window
 around the program's own iteration.  Its :meth:`~CycleProgram.run` is
-the one multi-cycle loop.
+the one multi-cycle loop, for the session and the process backend too.
 
 :class:`GraphProgram` is the base of the two AMT programs.  It holds the
 capture/replay rule :mod:`repro.amt.graph` states: capture the first
 cycle's graph, replay it on later cycles, and drop it when the program's
 structure key changes, when a checkpoint rollback rewinds the cycle
 counter, or when the fault injector plans to strike the cycle.  A
-program supplies :meth:`~GraphProgram._build` (build and run one cycle's
-graph) and :meth:`~GraphProgram._finish` (use the cycle's final object,
-built or replayed).
+template replays on the simulated pool, or on an attached replay engine
+(the process backend) once the engine has lowered it.  A program
+supplies :meth:`~GraphProgram._build` (build and run one cycle's graph)
+and :meth:`~GraphProgram._finish` (use the cycle's final object, built
+or replayed).
 """
 
 from __future__ import annotations
@@ -79,15 +81,22 @@ class CycleProgram:
         with phase:
             self._iterate(cycle, injector)
 
-    def run(self, iterations: int) -> None:
-        """Advance *iterations* cycles (or fewer if stoptime hits)."""
+    def run(self, iterations: int, check=None, step=None) -> None:
+        """Advance *iterations* cycles (or fewer if stoptime hits).
+
+        *check*, if given, runs before each cycle and may raise to stop
+        the run; *step* advances one cycle (default :meth:`step`).
+        """
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         d = self.domain
+        step = step or self.step
         for _ in range(iterations):
             if d is not None and d.time >= d.opts.stoptime:
                 break
-            self.step()
+            if check is not None:
+                check()
+            step()
 
     def _iterate(self, cycle: int, injector) -> None:
         """Run cycle *cycle*'s iteration; *injector* may be ``None``."""
@@ -100,7 +109,15 @@ class GraphProgram(CycleProgram):
     With ``replay_graph`` the first cycle's build is captured as a
     :class:`~repro.amt.graph.GraphTemplate` and later cycles re-fire it
     in place.  ``graph_stats`` counts captures, replays, memo hits,
-    invalidations and the build-vs-re-arm time split.
+    invalidations and the build-vs-re-arm time split of the simulated
+    pool's cycles.
+
+    ``engine`` is the replay engine an open
+    :class:`~repro.parallel.backend.ParallelHpxBackend` attaches, or
+    ``None``.  A cycle whose valid template the engine has ``lowered``
+    runs as its ``replay(cycle, injector)``; any other cycle is announced
+    as ``fall_back(cycle, reason)`` and runs on the simulated pool.  After
+    every cycle the engine may ``lower`` the current template.
     """
 
     def __init__(
@@ -118,6 +135,7 @@ class GraphProgram(CycleProgram):
         self._template_final: Any = None
         self._template_key: tuple | None = None
         self._last_cycle: int | None = None
+        self.engine = None
 
     # --- what a program supplies ----------------------------------------------
 
@@ -157,6 +175,11 @@ class GraphProgram(CycleProgram):
 
     def _iterate(self, cycle: int, injector) -> None:
         self._finish(self._advance(cycle, injector))
+        # The rollback detector counts a cycle once it has returned: a
+        # cycle that raised is a first attempt again after a rollback.
+        self._last_cycle = cycle
+        if self.engine is not None:
+            self.engine.lower(self._template)
 
     def _record(self, kind: str, **detail) -> None:
         flight = self.rt.flight_recorder
@@ -174,24 +197,34 @@ class GraphProgram(CycleProgram):
     def _advance(self, cycle: int, injector) -> Any:
         """Produce this cycle's final object: replay, or build (and capture).
 
-        A captured template is invalidated when the graph structure key
-        changes, when the cycle counter is non-monotone (a checkpoint
-        rollback rewound the run — the captured graph would replay against
-        the wrong per-cycle bindings), or when the fault injector plans to
-        strike this cycle (fault draws happen at task *creation*, which a
-        replay never performs, so the cycle must be rebuilt).  Fault cycles
-        are also not captured: their graphs embed spent fire closures and
-        stall-inflated costs.
+        This is where every cycle's path is decided.  A captured template
+        is invalidated when the graph structure key changes, when the
+        cycle counter is non-monotone (a checkpoint rollback rewound the
+        run — the captured graph would replay against the wrong per-cycle
+        bindings), or when the fault injector plans to strike this cycle
+        (fault draws happen at task *creation*, which a replay never
+        performs, so the cycle must be rebuilt).  Fault cycles are also
+        not captured: their graphs embed spent fire closures and
+        stall-inflated costs.  A valid template replays on the engine if
+        the engine has lowered it, else on the simulated pool.
         """
         rt = self.rt
         stats = self.graph_stats
         faulty = injector is not None and injector.plans_faults(cycle)
-        if self._template is not None:
-            rollback = self._last_cycle is not None and cycle <= self._last_cycle
-            if rollback or faulty or self._graph_key() != self._template_key:
-                self._invalidate_template()
-        self._last_cycle = cycle
-        if self._template is not None:
+        rollback = self._last_cycle is not None and cycle <= self._last_cycle
+        valid = self._template is not None and not (
+            rollback or faulty or self._graph_key() != self._template_key
+        )
+        engine = self.engine
+        if engine is not None:
+            if valid and engine.lowered(self._template):
+                engine.replay(cycle, injector)
+                return self._template_final
+            engine.fall_back(
+                cycle,
+                "rollback" if rollback else "fault-cycle" if faulty else "no-schedule",
+            )
+        if valid:
             try:
                 stats.replay_ns += rt.replay_graph(self._template)
             except Exception:
@@ -203,6 +236,7 @@ class GraphProgram(CycleProgram):
             stats.memo_hits += rt.replayed_from_memo
             self._record("graph_replay", cycle=cycle)
             return self._template_final
+        self._invalidate_template()  # a stale capture, if there is one
         capture = self.replay_graph and not faulty
         if capture:
             rt.begin_capture()

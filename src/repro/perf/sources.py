@@ -323,7 +323,8 @@ def install_parallel_counters(
     registry.register_gauge(
         "/parallel/fallback-cycles",
         lambda: stats.fallback_cycles,
-        description="cycles run serially (capture, rollback, fault cycles)",
+        description="cycles run serially (capture, rollback, fault cycles, "
+        "degraded)",
     )
     registry.register_gauge(
         "/parallel/waves",

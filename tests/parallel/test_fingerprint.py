@@ -1,8 +1,10 @@
-"""Satellite: the graph fingerprint covers the execution backend.
+"""The graph key: a stable key keeps replaying, a moved key relowers.
 
-A captured template lowered for one backend/worker configuration must not
-be silently replayed for another: ``HpxLuleshProgram._graph_key()`` — the
-invalidation fingerprint — includes ``backend`` and ``backend_workers``.
+``HpxLuleshProgram._graph_key()`` is the template's invalidation
+fingerprint.  A lowered wave schedule belongs to one backend object and
+one template object, so the key holds no backend identity: a backend
+lowers each template it has not lowered yet
+(``tests/parallel/test_backend_trail.py``).
 """
 
 import pytest
@@ -11,35 +13,6 @@ from tests.parallel.conftest import make_execute_program
 
 
 class TestGraphKey:
-    def test_key_includes_backend_and_workers(self):
-        program = make_execute_program(nx=4, num_reg=3)
-        base = program._graph_key()
-        program.backend = "process"
-        assert program._graph_key() != base
-        with_two = program._graph_key()
-        program.backend_workers = 4
-        assert program._graph_key() != with_two
-
-    def test_backend_change_invalidates_replay(self):
-        program = make_execute_program(nx=4, num_reg=3)
-        program.run(2)
-        assert program.graph_stats.captures == 1
-        program.backend = "process"
-        program.backend_workers = 2
-        program.run(2)
-        assert program.graph_stats.invalidations == 1
-        assert program.graph_stats.captures == 2
-
-    def test_worker_count_change_invalidates_replay(self):
-        program = make_execute_program(nx=4, num_reg=3)
-        program.backend = "process"
-        program.backend_workers = 2
-        program.run(2)
-        assert program.graph_stats.captures == 1
-        program.backend_workers = 4
-        program.run(2)
-        assert program.graph_stats.invalidations == 1
-
     def test_stable_key_keeps_replaying(self):
         program = make_execute_program(nx=4, num_reg=3)
         program.run(3)
