@@ -25,7 +25,7 @@ from repro.lulesh.catalogue import KERNELS
 from repro.lulesh.costs import KernelCosts
 from repro.lulesh.domain import Domain
 from repro.lulesh.kernels.constraints import reduce_time_constraints
-from repro.openmp.runtime import OmpRuntime
+from repro.openmp.runtime import OmpRuntime, OmpStats
 
 __all__ = ["omp_iteration", "OmpLuleshProgram"]
 
@@ -166,6 +166,14 @@ class OmpLuleshProgram(CycleProgram):
     Injected faults fire at parallel-region entry (OpenMP's closest
     analogue to a task boundary); physics aborts propagate directly from
     the inlined kernel bodies as they always have.
+
+    A timing-only cycle without a fault injector issues the same loops
+    every time, so it is simulated once per program: the first such
+    cycle's :class:`~repro.openmp.runtime.OmpStats` delta is kept and
+    later ones add it in one step.  That sum equals issuing the loops only
+    while every time in the delta is an ``int`` (the default
+    :class:`~repro.simcore.costmodel.CostModel`); otherwise every cycle
+    issues its loops.  Execute-mode and injected cycles always do.
     """
 
     def __init__(
@@ -179,11 +187,22 @@ class OmpLuleshProgram(CycleProgram):
         super().__init__(omp, shape, costs, domain)
         if domain is not None:
             domain.configure_workspace(task_local_temporaries)
+        self._cycle_delta: OmpStats | None = None
 
     def _iterate(self, cycle: int, injector) -> None:
         # The iteration boundary is marked (and counters sampled) even when
         # the cycle fails, so a failed run still exports its last state.
         try:
-            omp_iteration(self.rt, self.shape, self.costs, self.domain)
+            if self.domain is not None or injector is not None:
+                omp_iteration(self.rt, self.shape, self.costs, self.domain)
+            elif self._cycle_delta is not None:
+                self.rt.stats.add(self._cycle_delta)
+            else:
+                stats = self.rt.stats
+                before = stats.copy()
+                omp_iteration(self.rt, self.shape, self.costs)
+                delta = stats.since(before)
+                if delta.integral():
+                    self._cycle_delta = delta
         finally:
             self.rt.end_iteration()

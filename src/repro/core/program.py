@@ -57,6 +57,10 @@ class CycleProgram:
         self.domain = domain
         self._timing_cycle = 0  # cycle counter for timing-only runs
 
+    def begin_job(self) -> None:
+        """Restart the cycle counter for a fresh run on a warm program."""
+        self._timing_cycle = 0
+
     def step(self) -> None:
         """Advance exactly one leapfrog cycle.
 
@@ -169,8 +173,8 @@ class GraphProgram(CycleProgram):
         ``graph_stats`` is zeroed in place (counter closures hold it); the
         template itself is deliberately kept.
         """
+        super().begin_job()
         self._last_cycle = None
-        self._timing_cycle = 0
         self.graph_stats.reset()
 
     def _iterate(self, cycle: int, injector) -> None:
