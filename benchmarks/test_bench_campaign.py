@@ -17,7 +17,9 @@ computations — is asserted, not just recorded.
 The ``warm_vs_cold`` rows time single jobs on a warm executor at s=45:
 the first job of a fresh executor (cold: it captures the graph and
 simulates one replay) against a later job of the same executor (warm:
-every cycle re-applies the runtime's memoized simulation).
+every cycle re-applies the runtime's memoized simulation).  The OpenMP
+pair's cold job simulates one cycle and re-adds it; its warm job
+simulates none.
 """
 
 import json
@@ -43,10 +45,15 @@ SWEEP_AXES = {
     "execute": [False, True],
 }
 MIN_REPEAT_HIT_RATE = 0.9
-#: The warm-vs-cold jobs: one executor key per variant, REPS fresh
-#: executors each serving a cold and then a warm job.
+#: The warm-vs-cold jobs: one executor key per HPX variant and one for
+#: OpenMP, REPS fresh executors each serving a cold and then a warm job.
 WARM_JOB = {"s": 45, "r": 11, "i": 3, "threads": 24, "execute": False}
 WARM_VARIANTS = ("fig5", "fig6", "full")
+WARM_SPECS = {
+    **{variant: JobSpec(variant=variant, **WARM_JOB)
+       for variant in WARM_VARIANTS},
+    "omp": JobSpec(impl="omp", **WARM_JOB),
+}
 REPS = 9
 
 
@@ -73,12 +80,14 @@ def _row(config, samples_ns):
 
 
 def _timed_job(warm, spec):
-    """Wall time of one job and its ``(captures, memo_hits)``."""
+    """Wall time of one job, its payload and, for an AMT program, its
+    ``(captures, memo_hits)``."""
     t0 = time.perf_counter_ns()
-    warm.run_job(spec, registry=CounterRegistry())
+    outcome = warm.run_job(spec, registry=CounterRegistry())
     wall_ns = time.perf_counter_ns() - t0
-    stats = warm.program.graph_stats
-    return wall_ns, (stats.captures, stats.memo_hits)
+    stats = getattr(warm.program, "graph_stats", None)
+    counts = None if stats is None else (stats.captures, stats.memo_hits)
+    return wall_ns, outcome.result, counts
 
 
 def _sweep():
@@ -157,23 +166,27 @@ class TestCampaignThroughput:
         Warm jobs re-apply the runtime's memoized simulation from their
         first replayed cycle on; the cold job is the control, whose
         capture and one simulated replay a warm executor does not save.
+        A warm OpenMP job re-adds the cold job's simulated cycle, so its
+        payload must be the cold job's.
         """
         rows, graph_stats = [], {}
-        for variant in WARM_VARIANTS:
-            spec = JobSpec(variant=variant, **WARM_JOB)
+        for case, spec in WARM_SPECS.items():
             resolved = resolve_spec(spec)
             samples = {"cold": [], "warm": []}
-            stats = graph_stats[variant] = {"cold": [], "warm": []}
+            stats = graph_stats[case] = {"cold": [], "warm": []}
             for _ in range(REPS):
                 warm = WarmExecutor(resolved)
                 try:
+                    payloads = {}
                     for kind in ("cold", "warm"):
-                        wall_ns, counts = _timed_job(warm, spec)
+                        wall_ns, payload, counts = _timed_job(warm, spec)
+                        payloads[kind] = payload
                         samples[kind].append(wall_ns)
                         stats[kind].append(counts)
                 finally:
                     warm.close()
-            base = (f"{variant}, s={WARM_JOB['s']}, {WARM_JOB['r']} regions, "
+                assert payloads["warm"] == payloads["cold"], case
+            base = (f"{case}, s={WARM_JOB['s']}, {WARM_JOB['r']} regions, "
                     f"{WARM_JOB['threads']} threads, i={WARM_JOB['i']}, "
                     "timing-only")
             rows.append(_row(f"{base}, cold: first job of a fresh executor",

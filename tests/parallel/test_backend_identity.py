@@ -60,10 +60,11 @@ def test_worker_count_does_not_change_physics():
 def test_rollback_resync_bit_identity(tmp_path):
     """A fault + checkpoint rollback mid-run must resync the workers.
 
-    The injected NaN fires on cycle 4 (a serial-fallback cycle for the
-    process backend); auto-recovery rolls the domain back in place —
-    through the shared views — and both backends must land on the same
-    final state.
+    The injected NaN fires on cycle 4, which the process backend replays
+    on its workers; only the rollback cycle after it falls back to the
+    serial path.  Auto-recovery rolls the domain back in place — through
+    the shared views — and both backends must land on the same final
+    state.
     """
     def plan(tag):
         return ResiliencePlan(
