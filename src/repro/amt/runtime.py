@@ -665,12 +665,13 @@ class AmtRuntime:
         """
         self._flush_hooks.append(hook)
 
-    def clear_flush_hooks(self) -> None:
+    def clear_sampling_hooks(self) -> None:
         """Drop every registered flush hook.
 
-        Campaign executors re-install a fresh per-job counter sampler each
-        job; without this, hooks from earlier jobs would accumulate and
-        sample dead registries forever.
+        A counter sampler's hook holds its registry, whose counters hold
+        this runtime, and a warm runtime serves many runs: clearing the
+        hooks when a run returns keeps them from accumulating and lets
+        the run's registry be freed without the cyclic garbage collector.
         """
         self._flush_hooks.clear()
 
