@@ -23,8 +23,6 @@ simulates none.
 """
 
 import json
-import os
-import statistics
 import time
 from pathlib import Path
 
@@ -32,6 +30,8 @@ from repro.perf.registry import CounterRegistry
 from repro.serve import CampaignScheduler, JobSpec, ResultCache, expand_sweep
 from repro.serve.executor import WarmExecutor
 from repro.serve.fingerprint import resolve_spec
+
+from benchmarks.rows import timing_row
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_campaign.json"
@@ -62,21 +62,6 @@ def _merge_results(blocks):
     data = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     data.update(blocks)
     OUT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _row(config, samples_ns):
-    ms = [ns / 1e6 for ns in samples_ns]
-    median = statistics.median(ms)
-    return {
-        "layer": "serve.run_job",
-        "config": config,
-        "unit": "ms",
-        "reps": len(ms),
-        "min": min(ms),
-        "median": median,
-        "mad": statistics.median(abs(v - median) for v in ms),
-        "host_cpus": os.cpu_count(),
-    }
 
 
 def _timed_job(warm, spec):
@@ -189,10 +174,14 @@ class TestCampaignThroughput:
             base = (f"{case}, s={WARM_JOB['s']}, {WARM_JOB['r']} regions, "
                     f"{WARM_JOB['threads']} threads, i={WARM_JOB['i']}, "
                     "timing-only")
-            rows.append(_row(f"{base}, cold: first job of a fresh executor",
-                             samples["cold"]))
-            rows.append(_row(f"{base}, warm: second job of the executor",
-                             samples["warm"]))
+            for kind, label in (
+                ("cold", "first job of a fresh executor"),
+                ("warm", "second job of the executor"),
+            ):
+                rows.append(timing_row(
+                    "serve.run_job", f"{base}, {kind}: {label}", "ms",
+                    [ns / 1e6 for ns in samples[kind]],
+                ))
         _merge_results({"warm_vs_cold": rows})
         for row in rows:
             print(f"\n{row['config']}: median {row['median']:.2f} ms "

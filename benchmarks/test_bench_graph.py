@@ -29,8 +29,6 @@ many cycles replay.
 """
 
 import json
-import os
-import statistics
 import time
 import tracemalloc
 from pathlib import Path
@@ -46,6 +44,8 @@ from repro.lulesh.costs import DEFAULT_COSTS
 from repro.lulesh.options import LuleshOptions
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
+
+from benchmarks.rows import timing_row
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_graph.json"
@@ -112,21 +112,6 @@ def _cycle_ns(program):
     t0 = time.perf_counter_ns()
     program.step()
     return time.perf_counter_ns() - t0
-
-
-def _row(layer, config, samples_ns):
-    ms = [ns / 1e6 for ns in samples_ns]
-    median = statistics.median(ms)
-    return {
-        "layer": layer,
-        "config": config,
-        "unit": "ms/cycle",
-        "reps": len(ms),
-        "min": min(ms),
-        "median": median,
-        "mad": statistics.median(abs(v - median) for v in ms),
-        "host_cpus": os.cpu_count(),
-    }
 
 
 def _merge_results(section, payload):
@@ -205,7 +190,8 @@ class TestGraphReplayWallclock:
                       "timing-only")
             for layer, samples in (("replay:simulated", simulated),
                                    ("replay:memo-hit", reapplied)):
-                rows.append(_row(layer, config, samples))
+                rows.append(timing_row(layer, config, "ms/cycle",
+                                       [ns / 1e6 for ns in samples]))
                 medians[name, layer] = rows[-1]["median"]
         _merge_results("replay_memo", rows)
         speedup = (medians["full", "replay:simulated"]

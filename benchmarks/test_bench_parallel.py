@@ -5,13 +5,18 @@ wall clock of the shared-memory process backend at 1/2/4 workers vs the
 single-process arena path, at s=20 and s=30 in execute mode.  The timed
 region excludes pool startup and the serial capture cycle (the warm path
 is the product; startup is amortized over a whole run), mirroring the
-replay-style methodology of ``BENCH_graph.json``.
+replay-style methodology of ``BENCH_graph.json``.  Each steady cycle is
+timed on its own, ``CYCLES`` per arm, and every arm writes one row of
+the ``benchmarks.rows`` schema: its cycle wall clock and, for the process
+backend, its utilization per cycle (measured spec time over wall clock x
+workers).
 
 Results go to ``BENCH_parallel.json`` at the repo root (CI uploads it).
-The scaling headline — >= 1.5x at 4 workers over the 1-worker process
-backend at s=30 — is asserted only where the host actually has >= 4 CPUs;
-on smaller hosts the run still executes (correctness + overhead numbers
-are meaningful) and the artifact records ``cpu_limited: true``.
+The scaling headline — a median cycle >= 1.5x faster at 4 workers than
+the 1-worker process backend at s=30 — is asserted only where the host
+actually has >= 4 CPUs; on smaller hosts the run still executes
+(correctness + overhead numbers are meaningful) and the artifact records
+``cpu_limited: true``.
 
 Physics sanity rides along: every arm of a size must land on the exact
 same origin energy — the backend is an execution strategy, not a solver
@@ -36,11 +41,13 @@ from repro.parallel import ParallelHpxBackend, process_backend_supported
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 
+from benchmarks.rows import timing_row
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_parallel.json"
 SIZES = (20, 30)
 WORKER_COUNTS = (1, 2, 4)
-CYCLES = 5
+CYCLES = 20
 WARMUP = 1  # warm parallel cycles after the capture cycle
 MIN_SPEEDUP_4V1_S30 = 1.5
 
@@ -64,49 +71,56 @@ def _program(nx):
     )
 
 
+def _config(nx, arm):
+    return f"s={nx}, 11 regions, Table I partitions, execute, {arm}"
+
+
+def _timed_step_ns(step):
+    t0 = time.perf_counter_ns()
+    step()
+    return time.perf_counter_ns() - t0
+
+
 def _time_sim_arm(nx):
-    """Steady-state per-cycle wall clock of the single-process path."""
+    """Steady-state cycle wall clocks of the single-process path."""
     program = _program(nx)
     program.run(1 + WARMUP)  # capture + warm replay
-    t0 = time.perf_counter_ns()
-    program.run(CYCLES)
-    wall = (time.perf_counter_ns() - t0) / CYCLES
-    return wall, program.domain.origin_energy(), program.domain.cycle
+    walls = [_timed_step_ns(program.step) for _ in range(CYCLES)]
+    return walls, program.domain
 
 
 def _time_process_arm(nx, workers):
-    """Steady-state per-cycle wall clock of the process backend.
+    """Steady-state cycle wall clocks and utilizations of the process
+    backend.
 
-    ``utilization`` is measured busy time summed over every spec, divided
-    by makespan x workers — the fraction of the pool's wall-clock capacity
-    actually spent computing (the rest is barrier slack, messaging, and
-    serial sections).
+    A cycle's utilization is its measured spec time (workers and the
+    main process's serial specs) over its wall clock x workers: the
+    fraction of the pool's capacity spent computing (the rest is barrier
+    slack, messaging, and the main process's own work).
     """
     program = _program(nx)
+    walls, utilizations = [], []
     with ParallelHpxBackend(program, workers=workers) as backend:
         backend.run(1 + WARMUP)  # serial capture + warm parallel cycles
         assert backend.stats.parallel_cycles == WARMUP
-        busy0 = backend.stats.busy_ns
-        t0 = time.perf_counter_ns()
-        backend.run(CYCLES)
-        total_wall = time.perf_counter_ns() - t0
-        wall = total_wall / CYCLES
+        for _ in range(CYCLES):
+            busy0 = backend.stats.busy_ns
+            wall = _timed_step_ns(backend.step)
+            walls.append(wall)
+            utilizations.append(
+                (backend.stats.busy_ns - busy0) / (wall * workers)
+            )
         assert backend.stats.parallel_cycles == WARMUP + CYCLES
-        stats = backend.stats
-        result = {
-            "wall_ns": wall,
-            "waves_per_cycle": stats.waves // stats.parallel_cycles,
-            "tasks_per_cycle": stats.tasks_dispatched // stats.parallel_cycles,
-            "shm_bytes": stats.shm_bytes,
-            "utilization": (stats.busy_ns - busy0) / (total_wall * workers),
-        }
-    return result, program.domain.origin_energy(), program.domain.cycle
+    return walls, utilizations, program.domain
+
+
+def _ms(samples_ns):
+    return [ns / 1e6 for ns in samples_ns]
 
 
 def _merge_results(section, payload):
     data = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     meta = data.setdefault("meta", {})
-    meta["unit"] = "ns per steady-state cycle, execute mode"
     meta["sizes"] = list(SIZES)
     meta["worker_counts"] = list(WORKER_COUNTS)
     meta["timed_cycles"] = CYCLES
@@ -120,33 +134,37 @@ class TestProcessBackendWallclock:
     def test_worker_scaling(self):
         """1/2/4-worker sweep vs the arena path; headline at s=30.
 
-        ``speedup_4v1`` (process backend, 4 vs 1 workers) is the scaling
-        headline; ``speedup_vs_sim`` situates the backend against the
-        single-process arena path whose task graph it executes.
+        The ratio of the 1-worker to the 4-worker median cycle (process
+        backend) is the scaling headline; the single-process arm situates
+        the backend against the arena path whose task graph it executes.
         """
-        results = {}
+        rows, medians = [], {}
         for nx in SIZES:
-            sim_wall, sim_energy, sim_cycle = _time_sim_arm(nx)
-            per_size = {"sim_wall_ns": sim_wall}
-            arms = {}
+            walls, sim = _time_sim_arm(nx)
+            rows.append(timing_row("cycle", _config(nx, "single process"),
+                                   "ms/cycle", _ms(walls)))
             for workers in WORKER_COUNTS:
-                arm, energy, cycle = _time_process_arm(nx, workers)
+                walls, utilizations, domain = _time_process_arm(nx, workers)
+                energy, sim_energy = domain.origin_energy(), sim.origin_energy()
                 assert energy == sim_energy, (
                     f"s={nx} w={workers}: origin energy diverged from the "
                     f"single-process path ({energy!r} != {sim_energy!r})"
                 )
-                assert cycle == sim_cycle
-                arm["speedup_vs_sim"] = sim_wall / arm["wall_ns"]
-                arms[f"w{workers}"] = arm
-            per_size["process"] = arms
-            per_size["speedup_4v1"] = (
-                arms["w1"]["wall_ns"] / arms["w4"]["wall_ns"]
-            )
-            per_size["origin_energy"] = sim_energy
-            results[f"s{nx}"] = per_size
-        _merge_results("worker_scaling", results)
+                assert domain.cycle == sim.cycle
+                config = _config(nx, f"process backend, workers={workers}")
+                rows.append(timing_row("cycle", config, "ms/cycle",
+                                       _ms(walls)))
+                medians[nx, workers] = rows[-1]["median"]
+                rows.append(timing_row("parallel.utilization", config,
+                                       "ratio", utilizations))
+        _merge_results("worker_scaling", rows)
+        for row in rows:
+            print(f"\n{row['layer']} {row['config']}: median "
+                  f"{row['median']:.3f} {row['unit']} (mad {row['mad']:.3f}, "
+                  f"min {row['min']:.3f})", end="")
+        print()
 
-        headline = results["s30"]["speedup_4v1"]
+        headline = medians[30, 1] / medians[30, 4]
         if (os.cpu_count() or 1) >= max(WORKER_COUNTS):
             assert headline >= MIN_SPEEDUP_4V1_S30, (
                 f"4-worker speedup over 1 worker at s=30 was "

@@ -31,7 +31,6 @@ CPU count.
 
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -57,6 +56,8 @@ from repro.simcore.allocator import workspace_allocation_stats
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from tests.lulesh.test_workspace import partitioned_step
+
+from benchmarks.rows import timing_row
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -311,20 +312,6 @@ S20_ROWS = {
 }
 
 
-def _row(layer, unit, samples):
-    median = statistics.median(samples)
-    return {
-        "layer": layer,
-        "config": S20_CONFIG,
-        "unit": unit,
-        "reps": len(samples),
-        "min": min(samples),
-        "median": median,
-        "mad": statistics.median(abs(v - median) for v in samples),
-        "host_cpus": os.cpu_count(),
-    }
-
-
 def _kernel_ms_per_cycle():
     """Each row's kernel time per cycle (ms) over ``S20_REPS`` cycles."""
     domain = Domain(LuleshOptions(nx=S20, numReg=11))
@@ -375,9 +362,10 @@ class TestPartitionedS20Record:
         kernel change, back to back on one host.
         """
         rows = [
-            _row(f"kernel:{name}", "ms/cycle", samples)
+            timing_row(f"kernel:{name}", S20_CONFIG, "ms/cycle", samples)
             for name, samples in _kernel_ms_per_cycle().items()
         ]
-        rows.append(_row("grind", "us/zone/cycle", _grind_us_per_zone()))
+        rows.append(timing_row("grind", S20_CONFIG, "us/zone/cycle",
+                               _grind_us_per_zone()))
         _merge_results("partitioned_s20", rows, key="latest")
         assert all(row["min"] > 0 for row in rows)

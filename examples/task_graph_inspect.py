@@ -12,33 +12,15 @@ on the simulated machine with per-task tracing enabled, and prints:
 Run:  python examples/task_graph_inspect.py
 """
 
-from collections import defaultdict
-
 from repro.amt.counters import IdleRateCounter
 from repro.amt.runtime import AmtRuntime
 from repro.core.hpx_lulesh import HpxLuleshProgram, HpxVariant
 from repro.core.kernel_graph import ProblemShape
+from repro.harness.traceview import ascii_gantt
 from repro.lulesh.costs import DEFAULT_COSTS
 from repro.lulesh.options import LuleshOptions
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
-
-
-def gantt(spans, makespan_ns, workers=8, width=72) -> str:
-    """ASCII timeline: one row per worker, '#' where the worker is busy."""
-    rows = []
-    per_worker = defaultdict(list)
-    for s in spans:
-        per_worker[s.worker].append(s)
-    for w in range(workers):
-        cells = [" "] * width
-        for s in per_worker.get(w, []):
-            lo = int(s.start_ns / makespan_ns * width)
-            hi = max(lo + 1, int(s.end_ns / makespan_ns * width))
-            for c in range(lo, min(hi, width)):
-                cells[c] = "#"
-        rows.append(f"  w{w:02d} |{''.join(cells)}|")
-    return "\n".join(rows)
 
 
 def main() -> None:
@@ -78,7 +60,8 @@ def main() -> None:
               f"{rep.productive_ns / 1e6:>7.2f}ms {rep.idle_rate:>10.1%}")
 
     print("\n=== Gantt (one iteration, '#' = executing a task) ===")
-    print(gantt(stats.trace.spans, stats.total_ns))
+    print(ascii_gantt(stats.trace.spans, stats.total_ns, n_workers,
+                      max_workers=8))
 
     print("\n=== optimization ladder at this size ===")
     from repro.core.driver import run_hpx, run_naive_hpx, run_omp

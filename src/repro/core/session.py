@@ -100,7 +100,9 @@ class Session:
     process backend (whose ``parallel_start`` event it records).  Every
     impl builds its runtime and program once, so an OpenMP session keeps
     its runtime's loop-cost memo and its program's timing-only cycle
-    (:class:`~repro.core.omp_lulesh.OmpLuleshProgram`) across runs.
+    (:class:`~repro.core.omp_lulesh.OmpLuleshProgram`) across runs.  An
+    execute session copies its domain's initial state, which
+    :meth:`rewind` restores.
     """
 
     def __init__(
@@ -144,11 +146,11 @@ class Session:
         self.domain = Domain(opts) if execute else None
         if self.domain is not None:
             self.shape = ProblemShape.from_domain(self.domain)
+            self._initial = snapshot_state(self.domain)
         else:
             self.shape = ProblemShape.from_options(opts)
         self.record_spans = record_spans
         self.backend = None
-        self._initial = None
         if impl == "omp":
             self.rt = OmpRuntime(
                 self.machine, self.cost_model, threads,
@@ -204,12 +206,11 @@ class Session:
         """A rewindable session for a resolved job description.
 
         *resolved* is :func:`repro.serve.fingerprint.resolve_spec`'s
-        document; its partition sizes are already resolved.  The domain's
-        initial state is kept for :meth:`rewind`.
+        document; its partition sizes are already resolved.
         """
         shape, knobs = resolved["shape"], resolved["knobs"]
         impl = resolved["impl"]
-        session = cls(
+        return cls(
             impl, LuleshOptions(nx=shape["nx"], numReg=shape["numReg"]),
             shape["threads"], execute=resolved["execute"], machine=machine,
             costs=costs,
@@ -220,9 +221,6 @@ class Session:
             replay_graph=knobs["replay_graph"], backend=knobs["backend"],
             workers=knobs["workers"],
         )
-        if session.domain is not None:
-            session._initial = snapshot_state(session.domain)
-        return session
 
     # --- per-run driving ------------------------------------------------------
 

@@ -11,7 +11,7 @@ Two consumers:
   (``ph: "C"``) — per-worker busy state plus the aggregate running-task
   count — so utilization renders as a curve above the schedule;
 * :func:`ascii_gantt` — a terminal Gantt chart (used by
-  ``examples/task_graph_inspect.py`` and the CLI).
+  ``examples/task_graph_inspect.py``).
 
 Spans must be recorded by constructing the runtime with
 ``record_spans=True``.

@@ -48,7 +48,6 @@ EVENT_KINDS = frozenset(
         "parallel_stop",  # backend closed (cycles, fallbacks)
         "parallel_cycle",  # one cycle ran on real cores (waves, tasks)
         "parallel_fallback",  # one cycle ran serially (reason)
-        "spec_cost_refresh",  # measured-duration EMA replaced the cost model
         # worker supervision (repro.parallel.supervisor)
         "worker_lost",  # classified worker failure (worker, reason, wave)
         "worker_respawn",  # dead worker replaced (worker, respawns)

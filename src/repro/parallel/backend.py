@@ -57,19 +57,17 @@ from repro.parallel.supervisor import SupervisionConfig, WorkerSupervisor
 
 __all__ = ["ParallelHpxBackend", "ParallelStats"]
 
-#: EMA smoothing for measured per-spec durations: heavy enough that one
-#: noisy cycle cannot thrash the LPT packing, light enough to track a
-#: host warming up (caches, frequency scaling) within a few cycles.
-_EMA_ALPHA = 0.4
-
 
 @dataclass
 class ParallelStats:
     """Accounting behind the ``/parallel/*`` counters.
 
-    ``wall_ns`` is real host time (the only wall-clock-only family member
-    set: the obs ``diff`` gate skips ``/parallel/*`` wholesale since task
-    counts vary with fallback timing across hosts).
+    ``wall_ns`` and ``busy_ns`` are real host time: ``wall_ns`` spans
+    backend steps, ``busy_ns`` sums the measured execution time of every
+    spec of the completed parallel cycles, the workers' and the main
+    process's serial ones alike (a degraded cycle adds none).  The obs
+    ``diff`` gate skips ``/parallel/*`` wholesale, since task counts vary
+    with fallback timing across hosts.
     """
 
     workers: int = 0
@@ -81,7 +79,6 @@ class ParallelStats:
     wall_ns: int = 0
     shm_bytes: int = 0
     busy_ns: int = 0
-    cost_refreshes: int = 0
 
 
 class ParallelHpxBackend:
@@ -92,7 +89,6 @@ class ParallelHpxBackend:
         program,
         workers: int,
         flight_recorder=None,
-        start_method: str | None = None,
         supervision: SupervisionConfig | None = None,
     ) -> None:
         if program.domain is None:
@@ -105,7 +101,6 @@ class ParallelHpxBackend:
         self.domain = program.domain
         self.flight_recorder = flight_recorder
         self.stats = ParallelStats(workers=workers)
-        self._cost_ema: dict[int, float] = {}
         self._schedule = None
         self._assignments = None
         self._schedule_template = None
@@ -113,7 +108,7 @@ class ParallelHpxBackend:
         self._degraded = False
         self.arena = SharedDomainArena.create(self.domain)
         self.stats.shm_bytes = self.arena.nbytes
-        self.pool = ProcessWorkerPool(workers, start_method=start_method)
+        self.pool = ProcessWorkerPool(workers)
         self.supervisor = WorkerSupervisor(
             self.pool, supervision, flight_recorder=flight_recorder
         )
@@ -180,7 +175,6 @@ class ParallelHpxBackend:
         st.lowerings = 0
         st.wall_ns = 0
         st.busy_ns = 0
-        st.cost_refreshes = 0
         sup = self.supervisor.stats
         sup.worker_losses = sup.deaths = sup.hangs = sup.garbles = 0
         sup.respawns = sup.wave_retries = sup.shadow_restores = 0
@@ -205,7 +199,12 @@ class ParallelHpxBackend:
             )
 
     def lower(self, template) -> None:
-        """Lower *template* and broadcast its spec table, once per template."""
+        """Lower *template* and broadcast its spec table, once per template.
+
+        The wave plan is fixed here for the template's lifetime: LPT
+        buckets over the capture-time costs and the supervisor's
+        deadlines derived from them.
+        """
         if (
             template is None
             or template is self._schedule_template
@@ -216,7 +215,6 @@ class ParallelHpxBackend:
         self._assignments = assign_waves(schedule, self.pool.n_workers)
         self._schedule = schedule
         self._schedule_template = template
-        self._cost_ema.clear()  # spec indices re-mapped; old EMAs meaningless
         self.stats.lowerings += 1
         self.pool.broadcast_plan(schedule.specs)
         self.supervisor.install_plan(schedule, self._assignments)
@@ -232,13 +230,13 @@ class ParallelHpxBackend:
                 if kind is not None:
                     faults[w] = kind
         partials: dict[int, tuple[float, float]] = {}
-        durations: list[tuple[int, int]] = []
+        busy_ns = 0
         dispatched = 0
         for wi, wave in enumerate(schedule.waves):
             if wave.parallel:
                 shadow = WaveShadow.capture(d, schedule, wave)
                 try:
-                    results, durs = self.supervisor.run_wave(
+                    results, wave_busy_ns = self.supervisor.run_wave(
                         d, cycle, wi, self._assignments[wi], faults, shadow
                     )
                 except SupervisionExhausted as exc:
@@ -250,13 +248,14 @@ class ParallelHpxBackend:
                     self._degrade(exc, cycle, schedule, wi, partials)
                     break
                 partials.update(results)
-                durations.extend(durs)
+                busy_ns += wave_busy_ns
                 dispatched += len(wave.parallel)
-            self._run_serial_specs(schedule, wave, partials, durations)
+            busy_ns += self._run_serial_specs(schedule, wave, partials)
         else:
             self.stats.parallel_cycles += 1
             self.stats.waves += schedule.n_waves
             self.stats.tasks_dispatched += dispatched
+            self.stats.busy_ns += busy_ns
             if self.flight_recorder is not None:
                 self.flight_recorder.record(
                     "parallel_cycle",
@@ -264,11 +263,14 @@ class ParallelHpxBackend:
                     waves=schedule.n_waves,
                     tasks=dispatched,
                 )
-            self._note_durations(durations, cycle, schedule)
 
-    def _run_serial_specs(self, schedule, wave, partials, durations=None) -> None:
-        """Run a wave's main-process specs (``bc``/``reduce``) in order."""
+    def _run_serial_specs(self, schedule, wave, partials) -> int:
+        """Run a wave's main-process specs (``bc``/``reduce``) in order.
+
+        Returns their summed execution time in ns.
+        """
         d = self.domain
+        busy_ns = 0
         for idx in wave.serial:
             spec = schedule.specs[idx]
             t0 = _time.perf_counter_ns()
@@ -285,47 +287,8 @@ class ParallelHpxBackend:
                 value = execute_spec(d, spec)
                 if value is not None:
                     partials[idx] = value
-            if durations is not None:
-                durations.append((idx, _time.perf_counter_ns() - t0))
-
-    # --- measured-cost feedback -----------------------------------------------
-
-    def _note_durations(self, durations, cycle, schedule) -> None:
-        """Fold measured per-spec wall times into the cost EMA.
-
-        Once **every** spec has at least one measurement, the measured
-        table replaces the capture-time cost model wholesale — the LPT
-        packing is re-run and the supervisor deadlines re-derived.
-        Simulated-cost and measured-ns units are never mixed within one
-        table: a partially-measured table would compare apples to oranges
-        inside a single wave.
-        """
-        if not durations:
-            return
-        ema = self._cost_ema
-        for idx, ns in durations:
-            prev = ema.get(idx)
-            ema[idx] = (
-                float(ns)
-                if prev is None
-                else _EMA_ALPHA * ns + (1.0 - _EMA_ALPHA) * prev
-            )
-        self.stats.busy_ns += sum(ns for _idx, ns in durations)
-        if len(ema) < len(schedule.specs):
-            return
-        measured = tuple(max(1, int(ema[i])) for i in range(len(schedule.specs)))
-        self._assignments = assign_waves(
-            schedule, self.pool.n_workers, costs=measured
-        )
-        self.supervisor.install_plan(schedule, self._assignments, costs=measured)
-        self.stats.cost_refreshes += 1
-        if self.flight_recorder is not None:
-            self.flight_recorder.record(
-                "spec_cost_refresh",
-                cycle=cycle,
-                specs=len(measured),
-                costs=[[i, c] for i, c in enumerate(measured)],
-            )
+            busy_ns += _time.perf_counter_ns() - t0
+        return busy_ns
 
     # --- graceful degradation -------------------------------------------------
 

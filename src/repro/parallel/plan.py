@@ -121,27 +121,17 @@ def lower_template(template) -> ParallelSchedule:
 
 
 def assign_waves(
-    schedule: ParallelSchedule,
-    n_workers: int,
-    costs: tuple[int, ...] | None = None,
+    schedule: ParallelSchedule, n_workers: int
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Static per-wave worker assignment: ``result[wave][worker] -> indices``.
 
-    Deterministic longest-processing-time greedy over per-spec costs —
-    capture-time simulated costs by default, or *costs* (the backend
-    passes an EMA of measured per-spec durations once every parallel spec
-    has been timed at least once, so LPT packs on real behavior rather
-    than the cost model's guess).
+    Deterministic longest-processing-time greedy over the capture-time
+    simulated cost of each spec.  The backend packs once per lowering, so
+    every replay of a template dispatches each spec to the same worker.
     """
     if n_workers < 1:
         raise PlanLoweringError(f"n_workers must be >= 1, got {n_workers}")
-    if costs is None:
-        costs = schedule.costs
-    elif len(costs) != len(schedule.specs):
-        raise PlanLoweringError(
-            f"cost override has {len(costs)} entries for "
-            f"{len(schedule.specs)} specs"
-        )
+    costs = schedule.costs
     out = []
     for wave in schedule.waves:
         loads = [0] * n_workers

@@ -6,10 +6,10 @@ fatal-on-death semantics turn one lost process into a lost simulation.
 both failure modes bounded and observable:
 
 * **Watchdog** — replies are collected with ``poll`` against a per-wave
-  deadline derived from the capture-time spec cost estimates (the costliest
-  wave gets the full ``worker_timeout_s`` budget, cheaper waves a
-  proportional share with a floor), so a wedged worker is detected in
-  bounded time instead of never.
+  deadline derived once per lowering from the capture-time spec cost
+  estimates (the costliest wave gets the full ``worker_timeout_s`` budget,
+  cheaper waves a proportional share with a floor), so a wedged worker is
+  detected in bounded time instead of never.
 * **Failure taxonomy** — ``dead`` (pipe closed: the process exited or was
   killed), ``hang`` (deadline missed), ``garble`` (reply undecodable or
   malformed).  A garbling worker is killed too: a process that writes junk
@@ -124,24 +124,20 @@ class WorkerSupervisor:
 
     # --- planning -------------------------------------------------------------
 
-    def install_plan(self, schedule, assignments, costs=None) -> None:
+    def install_plan(self, schedule, assignments) -> None:
         """Derive per-wave deadlines from the schedule's cost estimates.
 
         A wave's wall time is governed by its most-loaded worker (the
         straggler), so each wave's deadline scales with its max per-worker
-        assigned cost relative to the costliest wave's.  *costs* overrides
-        the capture-time estimates (the backend passes measured EMAs once
-        warm).
+        assigned capture-time cost relative to the costliest wave's.  The
+        backend installs them once per lowering, with the plan's LPT
+        *assignments*.
         """
-        spec_costs = costs if costs is not None else schedule.costs
-        loads = []
-        for wave_assign in assignments:
-            loads.append(
-                max(
-                    (sum(spec_costs[i] for i in idxs) for idxs in wave_assign),
-                    default=0,
-                )
-            )
+        costs = schedule.costs
+        loads = [
+            max((sum(costs[i] for i in idxs) for idxs in wave_assign), default=0)
+            for wave_assign in assignments
+        ]
         top = max(loads, default=0)
         budget = self.config.worker_timeout_s
         self._deadlines = tuple(
@@ -166,13 +162,15 @@ class WorkerSupervisor:
         faults=None,
         shadow=None,
     ):
-        """Execute one wave with recovery; returns ``(partials, durations)``.
+        """Execute one wave with recovery; returns ``(partials, busy_ns)``.
 
         *assignment* is the per-worker index-tuple row for this wave;
         *faults* maps worker index -> injected fault kind for this cycle
         (consumed on the first wave where the worker is active); *shadow*
         is the wave's :class:`~repro.parallel.shadow.WaveShadow` (or
-        ``None``), restored before every retry.
+        ``None``), restored before every retry.  *partials* gathers the
+        workers' ``(index, value)`` spec results and *busy_ns* sums their
+        spec execution time, both from the attempt that succeeded.
 
         Raises :class:`SupervisionExhausted` when the respawn or retry
         budget runs out (the wave's shadow has been restored, so the
@@ -185,7 +183,7 @@ class WorkerSupervisor:
             )
         attempt = 0
         while True:
-            failures, results, durations, kernel_err = self._dispatch_once(
+            failures, results, busy_ns, kernel_err = self._dispatch_once(
                 domain, cycle, wave_index, assignment, faults
             )
             if failures:
@@ -199,7 +197,7 @@ class WorkerSupervisor:
                 # has already been healed above so rollback can reuse it.
                 raise kernel_err
             if not failures:
-                return results, durations
+                return results, busy_ns
             attempt += 1
             if attempt > self.config.max_wave_retries:
                 self._restore(shadow, domain)
@@ -226,7 +224,7 @@ class WorkerSupervisor:
     def _dispatch_once(self, domain, cycle, wave_index, assignment, faults):
         """One send/collect round; never raises for worker failures.
 
-        Returns ``(failures, results, durations, kernel_err)`` where
+        Returns ``(failures, results, busy_ns, kernel_err)`` where
         *failures* maps worker index -> :class:`WorkerFailure`.  Every
         worker the wave was sent to is drained (reply, failure, or
         deadline) before returning, keeping surviving pipes
@@ -248,20 +246,20 @@ class WorkerSupervisor:
             sent.append(w)
         deadline = _time.monotonic() + self.wave_deadline_s(wave_index)
         results: list = []
-        durations: list = []
+        busy_ns = 0
         kernel_err: BaseException | None = None
         for w in sent:
             remaining = max(deadline - _time.monotonic(), _DRAIN_GRACE_S)
             try:
-                partials, durs = pool.reply_deadline(w, remaining)
+                partials, worker_busy_ns = pool.reply_deadline(w, remaining)
                 results.extend(partials)
-                durations.extend(durs)
+                busy_ns += worker_busy_ns
             except WorkerFailure as exc:
                 failures[w] = exc
             except BaseException as exc:
                 if kernel_err is None:
                     kernel_err = exc
-        return failures, results, durations, kernel_err
+        return failures, results, busy_ns, kernel_err
 
     # --- recovery -------------------------------------------------------------
 

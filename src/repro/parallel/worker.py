@@ -9,10 +9,10 @@ From then on it serves a tiny message protocol over its pipe:
 * ``("plan", specs)`` — install the lowered spec table (once per lowering);
 * ``("wave", deltatime, time, cycle, indices, fault)`` — sync the per-cycle
   scalars, execute the indexed specs in order, reply
-  ``("ok", (partials, durations))`` where *partials* are the non-``None``
-  spec results (constraint minima) and *durations* the measured
-  ``(index, ns)`` wall time of every executed spec (fed back into the LPT
-  packing and the wave deadlines);
+  ``("ok", (partials, busy_ns))`` where *partials* are the ``(index,
+  value)`` pairs of the non-``None`` spec results (constraint minima) and
+  *busy_ns* the summed wall time of the executed specs (the backend's
+  ``/parallel/busy-time``);
 * ``("ping",)`` — liveness round-trip, replies ``("ok", None)``;
 * ``("stop",)`` — detach and exit.
 
@@ -67,12 +67,12 @@ def worker_main(conn, shm_name, layout, opts) -> None:
                 domain.cycle = cycle
                 try:
                     partials = []
-                    durations = []
+                    busy_ns = 0
                     with domain.workspace.phase():
                         for idx in indices:
                             t0 = time.perf_counter_ns()
                             value = execute_spec(domain, specs[idx])
-                            durations.append((idx, time.perf_counter_ns() - t0))
+                            busy_ns += time.perf_counter_ns() - t0
                             if value is not None:
                                 partials.append((idx, value))
                     if fault == "kill":
@@ -85,7 +85,7 @@ def worker_main(conn, shm_name, layout, opts) -> None:
                     elif fault == "garble":
                         conn.send_bytes(b"\x80\x04not a pickle")
                         continue
-                    conn.send(("ok", (partials, durations)))
+                    conn.send(("ok", (partials, busy_ns)))
                 except BaseException as exc:  # ship it back, keep serving
                     try:
                         conn.send(("err", exc))

@@ -372,11 +372,6 @@ def install_parallel_counters(
         unit="[ns]",
         description="summed measured per-spec execution time (all workers)",
     )
-    registry.register_gauge(
-        "/parallel/cost-refreshes",
-        lambda: stats.cost_refreshes,
-        description="times the measured-duration EMA replaced the cost model",
-    )
     if supervision is None:
         return
     sup = supervision

@@ -15,7 +15,6 @@ import fnmatch
 import pytest
 
 from repro.core.session import Session
-from repro.lulesh.checkpoint import snapshot_state
 from repro.lulesh.options import LuleshOptions
 from repro.openmp.runtime import OmpStats
 from repro.perf.registry import CounterRegistry
@@ -34,11 +33,8 @@ TIMING_JOBS = (
 
 
 def make_session(threads, schedule, execute, cost_model=None):
-    sess = Session("omp", OPTS, threads, execute=execute,
+    return Session("omp", OPTS, threads, execute=execute,
                    omp_schedule=schedule, cost_model=cost_model)
-    if execute:  # rewindable, as Session.from_resolved builds it
-        sess._initial = snapshot_state(sess.domain)
-    return sess
 
 
 def run_job(sess, iterations, inject):

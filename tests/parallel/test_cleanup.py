@@ -85,7 +85,7 @@ def test_pool_poisoned_after_death_without_respawn():
             backend.step()
         assert backend.pool.poisoned is not None
         with pytest.raises(ParallelBackendError, match="poisoned"):
-            backend.pool.run_wave(0.0, 0.0, 1, ((0,), ()))
+            backend.pool.broadcast_plan(backend._schedule.specs)
 
 
 def test_close_unlinks_and_domain_survives():

@@ -7,10 +7,8 @@ import pytest
 
 from repro.lulesh.catalogue import KERNELS
 from repro.parallel import (
-    ParallelSchedule,
     PlanLoweringError,
     TaskSpec,
-    Wave,
     assign_waves,
     lower_template,
 )
@@ -183,18 +181,3 @@ class TestAssignWaves:
         a = assign_waves(schedule, 1)
         for wi, wave in enumerate(schedule.waves):
             assert sorted(a[wi][0]) == sorted(wave.parallel)
-
-    def test_assign_waves_accepts_measured_cost_override(self):
-        spec = TaskSpec("kernels", names=("init_stress",), lo=0, hi=8)
-        sched = ParallelSchedule(
-            specs=(spec,) * 3,
-            costs=(100, 10, 10),
-            waves=(Wave((0, 1, 2), ()),),
-        )
-        by_capture = assign_waves(sched, 2)
-        # measured costs say spec 2 is the expensive one: LPT must repack
-        by_measured = assign_waves(sched, 2, costs=(10, 10, 100))
-        assert by_capture[0][0][0] == 0
-        assert by_measured[0][0][0] == 2
-        with pytest.raises(PlanLoweringError, match="cost override"):
-            assign_waves(sched, 2, costs=(1, 2))

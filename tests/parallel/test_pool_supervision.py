@@ -1,5 +1,5 @@
-"""Pool-level supervision primitives and the PR's pool satellite fixes:
-drain-before-raise in ``run_wave``, poisoning on death, respawn, and the
+"""Pool-level supervision primitives: drain-before-raise in the
+supervisor's wave loop, poisoning on death, respawn, and the
 shared-deadline concurrent ``stop`` escalation.
 """
 
@@ -10,8 +10,10 @@ import pytest
 from repro.parallel import (
     ParallelBackendError,
     ParallelHpxBackend,
-    WorkerDiedError,
+    SupervisionConfig,
+    SupervisionExhausted,
     WorkerHangError,
+    WorkerSupervisor,
 )
 
 from tests.parallel.conftest import make_execute_program, requires_process_backend
@@ -37,20 +39,20 @@ def test_run_wave_drains_survivors_before_raising():
         wi = next(
             i for i, a in enumerate(backend._assignments) if a[0] and a[1]
         )
+        no_respawn = WorkerSupervisor(pool, SupervisionConfig(max_respawns=0))
         pool._procs[1].kill()
         pool._procs[1].join(timeout=5.0)
-        with pytest.raises(WorkerDiedError):
-            pool.run_wave(d.deltatime, d.time, d.cycle, backend._assignments[wi])
+        with pytest.raises(SupervisionExhausted):
+            no_respawn.run_wave(d, d.cycle, wi, backend._assignments[wi])
+        assert no_respawn.stats.deaths == 1
         assert pool.poisoned is not None
-        # heal; if worker 0 had an undrained reply in flight, the next wave
-        # would read it and desynchronize — so this round-trip is the proof
+        # heal; if worker 0 had an undrained reply in flight, an empty wave
+        # would read it instead of its own empty reply
         pool.respawn_worker(1)
         assert pool.poisoned is None
-        results, durations = pool.run_wave(
-            d.deltatime, d.time, d.cycle, backend._assignments[wi]
-        )
-        assert isinstance(results, list)
-        assert isinstance(durations, list)
+        for w in range(2):
+            pool.send_wave(w, d.deltatime, d.time, d.cycle, ())
+            assert pool.reply_deadline(w, 10.0) == ([], 0)
 
 
 def test_reply_deadline_classifies_hang():
@@ -79,11 +81,13 @@ def test_respawned_worker_serves_the_current_plan():
         pool.kill_worker(0)
         pool.respawn_worker(0)
         # dispatch real specs to the fresh process: it must know the plan
-        results, durations = pool.run_wave(
-            d.deltatime, d.time, d.cycle, backend._assignments[0]
+        wi = next(i for i, a in enumerate(backend._assignments) if a[0])
+        partials, busy_ns = backend.supervisor.run_wave(
+            d, d.cycle, wi, backend._assignments[wi]
         )
-        assert isinstance(results, list)
-        assert len(durations) == sum(len(a) for a in backend._assignments[0])
+        assert isinstance(partials, list)
+        assert busy_ns > 0
+        assert backend.supervisor.stats.worker_losses == 0
         backend.step()  # and a whole cycle still works end to end
 
 
@@ -117,7 +121,7 @@ def test_stop_is_fast_for_healthy_pool():
 
 
 def test_poisoned_pool_rejects_new_dispatch_only():
-    """Poison blocks fresh waves but not the supervision primitives."""
+    """Poison blocks plan broadcasts but not the supervision primitives."""
     with warm_backend(2) as backend:
         pool = backend.pool
         pool._poisoned = "test poison"
@@ -126,5 +130,5 @@ def test_poisoned_pool_rejects_new_dispatch_only():
         d = backend.domain
         # supervision path stays open: that is how the pool gets healed
         pool.send_wave(0, d.deltatime, d.time, d.cycle, ())
-        assert pool.reply_deadline(0, 10.0) == ([], [])
+        assert pool.reply_deadline(0, 10.0) == ([], 0)
         pool._poisoned = None

@@ -209,32 +209,36 @@ def test_no_degrade_raises_supervision_exhausted():
         )
 
 
-def test_measured_costs_refresh_the_plan():
-    """Once every spec has a measured duration, the EMA table replaces the
-    capture-time cost model — LPT repacks and the wave deadlines rescale —
-    and the refresh lands in the flight record with the full cost table."""
-    flight = FlightRecorder()
+def test_one_plan_per_lowering():
+    """The plan ``lower`` builds is the template's only plan: LPT buckets
+    over the capture-time costs, their wave deadlines, and every spec
+    dispatched to one worker on every warm cycle."""
     program = make_execute_program(nx=6, num_reg=3)
-    with ParallelHpxBackend(
-        program, workers=2, flight_recorder=flight
-    ) as backend:
-        backend.run(4)  # capture + 3 warm cycles
-        assert backend.stats.cost_refreshes >= 1
-        assert backend.stats.busy_ns > 0
-        events = flight.events_of("spec_cost_refresh")
-        assert len(events) == backend.stats.cost_refreshes
-        table = events[0].detail["costs"]
-        assert len(table) == len(backend._schedule.specs)
-        assert all(cost >= 1 for _i, cost in table)
-        # the installed packing and wave deadlines run on measured time
-        measured = tuple(c for _i, c in events[-1].detail["costs"])
+    with ParallelHpxBackend(program, workers=2) as backend:
+        pool = backend.pool
+        send_wave = pool.send_wave
+        workers_of: dict[int, set[int]] = {}
+
+        def recording_send_wave(w, deltatime, time_now, cycle, indices,
+                                fault=None):
+            for idx in indices:
+                workers_of.setdefault(idx, set()).add(w)
+            send_wave(w, deltatime, time_now, cycle, indices, fault)
+
+        pool.send_wave = recording_send_wave
+        backend.run(6)  # capture + 5 warm cycles
+        assert backend.stats.parallel_cycles == 5
         schedule = backend._schedule
-        assert backend._assignments == assign_waves(
-            schedule, 2, costs=measured
+        assert backend._assignments == assign_waves(schedule, 2)
+        fresh = WorkerSupervisor(None, backend.supervisor.config)
+        fresh.install_plan(schedule, backend._assignments)
+        assert backend.supervisor._deadlines == fresh._deadlines
+        assert sorted(workers_of) == sorted(
+            idx for wave in schedule.waves for idx in wave.parallel
         )
-        expected = WorkerSupervisor(None, backend.supervisor.config)
-        expected.install_plan(schedule, backend._assignments, costs=measured)
-        assert backend.supervisor._deadlines == expected._deadlines
+        moved = {idx: ws for idx, ws in workers_of.items() if len(ws) > 1}
+        assert not moved, f"specs ran on more than one worker: {moved}"
+        assert backend.stats.busy_ns > 0
 
 
 def test_supervision_counters_exported():
