@@ -26,7 +26,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
 from repro.serve import CampaignScheduler, JobSpec, ResultCache, expand_sweep
 from repro.serve.executor import WarmExecutor
 from repro.serve.fingerprint import resolve_spec

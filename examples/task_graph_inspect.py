@@ -12,13 +12,14 @@ on the simulated machine with per-task tracing enabled, and prints:
 Run:  python examples/task_graph_inspect.py
 """
 
-from repro.amt.counters import IdleRateCounter
 from repro.amt.runtime import AmtRuntime
 from repro.core.hpx_lulesh import HpxLuleshProgram, HpxVariant
 from repro.core.kernel_graph import ProblemShape
-from repro.harness.traceview import ascii_gantt
 from repro.lulesh.costs import DEFAULT_COSTS
 from repro.lulesh.options import LuleshOptions
+from repro.obs import CounterRegistry, install_amt_counters, worker_thread_path
+from repro.obs.registry import IDLE_RATE_SCALE
+from repro.obs.traceview import ascii_gantt
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 
@@ -33,6 +34,8 @@ def main() -> None:
           f"{n_workers} workers\n")
 
     rt = AmtRuntime(machine, cost_model, n_workers, record_spans=True)
+    registry = CounterRegistry()
+    install_amt_counters(registry, rt)  # sampled once, at the flush
     shape = ProblemShape.from_options(opts)
     program = HpxLuleshProgram(
         rt, shape, DEFAULT_COSTS,
@@ -52,12 +55,13 @@ def main() -> None:
     print(f"total steals:           {stats.trace.total_steals()}")
 
     print("\n=== per-worker summary (first 8 workers) ===")
-    counter = IdleRateCounter(stats)
+    idle_rates = registry.last_values()
     print(f"  {'worker':>6} {'tasks':>6} {'steals':>7} {'busy':>8} "
           f"{'idle-rate':>10}")
-    for rep in counter.per_worker()[:8]:
-        print(f"  {rep.worker:>6} {rep.tasks_run:>6} {rep.steals:>7} "
-              f"{rep.productive_ns / 1e6:>7.2f}ms {rep.idle_rate:>10.1%}")
+    for w in stats.trace.workers[:8]:
+        idle = idle_rates[worker_thread_path(w.worker)] / IDLE_RATE_SCALE
+        print(f"  {w.worker:>6} {w.tasks_run:>6} {w.steals:>7} "
+              f"{w.productive_ns() / 1e6:>7.2f}ms {idle:>10.1%}")
 
     print("\n=== Gantt (one iteration, '#' = executing a task) ===")
     print(ascii_gantt(stats.trace.spans, stats.total_ns, n_workers,

@@ -10,8 +10,6 @@ A Python reproduction of the HPX programming surface the paper uses
   ``dataflow``, graph pre-creation and execution on the simulated machine;
 * :mod:`~repro.amt.algorithms` — ``for_each`` / ``for_loop`` parallel
   algorithms (used by the naive prior-work port [16]);
-* :mod:`~repro.amt.counters` — performance counters equivalent to HPX's
-  ``/threads/idle-rate``, used for Fig. 11;
 * :mod:`~repro.amt.graph` — graph capture & replay: record one iteration's
   task graph as an immutable template and re-fire it every cycle with zero
   graph-construction allocations (the CUDA-Graphs trick).
@@ -28,7 +26,6 @@ from repro.amt.future import Future, SharedFuture
 from repro.amt.graph import CapturedSegment, GraphStats, GraphTemplate
 from repro.amt.runtime import AmtRuntime, RunStats
 from repro.amt.algorithms import for_each, for_loop, parallel_reduce
-from repro.amt.counters import IdleRateCounter
 
 __all__ = [
     "AmtError",
@@ -44,5 +41,4 @@ __all__ = [
     "for_each",
     "for_loop",
     "parallel_reduce",
-    "IdleRateCounter",
 ]

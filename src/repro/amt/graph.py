@@ -116,7 +116,7 @@ class GraphStats:
     """Accounting for one program's capture/replay behaviour.
 
     Backs the ``/graph/*`` performance counters
-    (:func:`repro.perf.sources.install_graph_counters`).
+    (:func:`repro.obs.sources.install_graph_counters`).
 
     Attributes:
         captures: templates captured (first build + every re-capture after

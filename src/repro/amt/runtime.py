@@ -126,7 +126,14 @@ class RunStats:
         self.trace = TraceRecorder(self.n_workers, record_spans=self.record_spans)
 
     def utilization(self) -> float:
-        """Fig.-11 productive-time ratio across all executed segments."""
+        """Fig.-11 productive-time ratio across all executed segments.
+
+        HPX's ``/threads/idle-rate`` is ``1 - utilization()``: task
+        creation counts as productive, scheduler management (dispatch,
+        steal probes, retires) as idle.  The ``/threads*/idle-rate``
+        counters of :func:`repro.obs.sources.install_amt_counters` sample
+        the same rule per interval.
+        """
         if self.total_ns == 0:
             return 1.0
         return self.trace.utilization(self.total_ns)
@@ -660,7 +667,7 @@ class AmtRuntime:
         """Call ``hook(runtime, segment_makespan_ns)`` after every flush.
 
         This is the sampling boundary of the performance-counter registry
-        (:mod:`repro.perf`): counters are snapshotted once per executed
+        (:mod:`repro.obs`): counters are snapshotted once per executed
         segment, i.e. once per iteration for the pre-created-graph variants.
         """
         self._flush_hooks.append(hook)

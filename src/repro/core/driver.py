@@ -27,7 +27,7 @@ from repro.core.hpx_lulesh import HpxVariant
 from repro.core.session import RunResult, Session
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.lulesh.options import LuleshOptions
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
 from repro.resilience.plan import ResiliencePlan
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig

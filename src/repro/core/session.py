@@ -27,9 +27,8 @@ from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.lulesh.domain import Domain
 from repro.lulesh.errors import LuleshError
 from repro.lulesh.options import LuleshOptions
-from repro.openmp.runtime import OmpRuntime
-from repro.perf.registry import CounterRegistry
-from repro.perf.sources import (
+from repro.obs.registry import CounterRegistry
+from repro.obs.sources import (
     install_amt_counters,
     install_arena_counters,
     install_graph_counters,
@@ -37,6 +36,7 @@ from repro.perf.sources import (
     install_parallel_counters,
     install_resilience_counters,
 )
+from repro.openmp.runtime import OmpRuntime
 from repro.resilience.plan import ResiliencePlan
 from repro.resilience.recovery import run_with_recovery
 from repro.simcore.costmodel import CostModel
@@ -64,7 +64,7 @@ class RunResult:
         domain: the physics state (execute mode only).
         trace: merged per-worker trace with task spans (``record_spans``
             AMT runs only) — feeds the phase profiler and critical-path
-            analyzer in :mod:`repro.perf`.
+            analyzer in :mod:`repro.obs`.
     """
 
     runtime_ns: int

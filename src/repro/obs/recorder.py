@@ -20,6 +20,8 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+from repro.obs.traceview import write_jsonl
+
 __all__ = ["EVENT_KINDS", "FlightRecorder", "ObsEvent"]
 
 #: The closed vocabulary of flight-recorder event kinds.
@@ -190,8 +192,4 @@ class FlightRecorder:
             },
             sort_keys=True,
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
+        return write_jsonl(path, [header, *lines])

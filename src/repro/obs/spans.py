@@ -6,8 +6,9 @@ evaluated with: every simulated rank owns a virtual timeline of *spans*
 :class:`SpanContext` stamps — carrying a Lamport clock and the sender's
 span identity — align the per-rank timelines causally.  A receive span is
 *parented* to the send span that produced its data, on another rank, so a
-single merged timeline (Chrome trace with one process per rank, or JSONL)
-shows per-rank compute/communication overlap with cross-rank arrows.
+single merged timeline (Chrome trace with one process per rank, or JSONL;
+:mod:`repro.obs.traceview` writes both) shows per-rank
+compute/communication overlap with cross-rank arrows.
 
 Timing model (documented, deliberate):
 
@@ -29,16 +30,13 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 __all__ = [
     "LogicalClock",
     "SpanContext",
     "Span",
     "SpanTracer",
-    "spans_to_chrome_trace",
-    "spans_to_jsonl_lines",
-    "write_span_timeline",
 ]
 
 
@@ -265,98 +263,3 @@ class SpanTracer:
             )
             self._now[r] = span.end_ns
             self.spans.append(span)
-
-
-# --- merged-timeline exports --------------------------------------------------
-
-
-def spans_to_jsonl_lines(spans: Sequence[Span]) -> list[str]:
-    """One JSON line per span, in (rank, start) order, after a header."""
-    header = json.dumps(
-        {
-            "schema": "lulesh-hpx-spans/1",
-            "n_spans": len(spans),
-            "n_ranks": len({s.rank for s in spans}) if spans else 0,
-        },
-        sort_keys=True,
-    )
-    ordered = sorted(spans, key=lambda s: (s.rank, s.start_ns, s.span_id))
-    return [header] + [s.to_json() for s in ordered]
-
-
-def spans_to_chrome_trace(spans: Sequence[Span]) -> list[dict]:
-    """Chrome trace-event dicts: one process per rank, arrows across ranks.
-
-    Every rank becomes a process (``rank-N``) with one thread per span
-    kind, so compute and communication render as separate lanes of the
-    same rank; cross-rank parent edges become flow events (``ph: "s"/"f"``)
-    — the arrows that show a halo receive consuming a remote send.
-    """
-    kinds = ("compute", "comm", "sync")
-    events: list[dict] = []
-    for rank in sorted({s.rank for s in spans}):
-        events.append(
-            {
-                "name": "process_name", "ph": "M", "pid": rank,
-                "args": {"name": f"rank-{rank}"},
-            }
-        )
-        for tid, kind in enumerate(kinds):
-            events.append(
-                {
-                    "name": "thread_name", "ph": "M", "pid": rank, "tid": tid,
-                    "args": {"name": kind},
-                }
-            )
-    tid_of = {kind: tid for tid, kind in enumerate(kinds)}
-    by_id = {s.span_id: s for s in spans}
-    flow = 0
-    for s in spans:
-        args: dict = {"span_id": s.span_id, "clock": s.clock}
-        if s.cycle is not None:
-            args["cycle"] = s.cycle
-        events.append(
-            {
-                "name": s.name,
-                "cat": s.kind,
-                "ph": "X",
-                "pid": s.rank,
-                "tid": tid_of.get(s.kind, 0),
-                "ts": s.start_ns / 1000.0,
-                "dur": max(s.duration_ns, 1) / 1000.0,
-                "args": args,
-            }
-        )
-        parent = by_id.get(s.parent_id) if s.parent_id is not None else None
-        if parent is not None:
-            flow += 1
-            events.append(
-                {
-                    "name": "msg", "cat": "flow", "ph": "s", "id": flow,
-                    "pid": parent.rank, "tid": tid_of.get(parent.kind, 0),
-                    "ts": parent.end_ns / 1000.0,
-                }
-            )
-            events.append(
-                {
-                    "name": "msg", "cat": "flow", "ph": "f", "bp": "e",
-                    "id": flow, "pid": s.rank, "tid": tid_of.get(s.kind, 0),
-                    "ts": s.start_ns / 1000.0,
-                }
-            )
-    return events
-
-
-def write_span_timeline(
-    chrome_path: str | None,
-    jsonl_path: str | None,
-    spans: Sequence[Span],
-) -> None:
-    """Write the merged timeline as a Chrome trace and/or JSONL file."""
-    if chrome_path is not None:
-        with open(chrome_path, "w", encoding="utf-8") as fh:
-            json.dump({"traceEvents": spans_to_chrome_trace(spans)}, fh)
-    if jsonl_path is not None:
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
-            for line in spans_to_jsonl_lines(spans):
-                fh.write(line + "\n")

@@ -310,7 +310,7 @@ class OmpRuntime:
         """Call ``hook(runtime)`` at every :meth:`end_iteration` boundary.
 
         OpenMP has no flush boundary, so the leapfrog driver marks iteration
-        ends explicitly; the performance-counter registry (:mod:`repro.perf`)
+        ends explicitly; the performance-counter registry (:mod:`repro.obs`)
         samples its counters there.
         """
         self._iteration_hooks.append(hook)

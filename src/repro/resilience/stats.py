@@ -3,7 +3,7 @@
 One :class:`ResilienceStats` instance is threaded through the injector, the
 replay policy, and the recovery manager so a single object answers "what did
 resilience do this run" — it backs the ``/resilience/*`` counters in the
-performance registry (:func:`repro.perf.sources.install_resilience_counters`)
+performance registry (:func:`repro.obs.sources.install_resilience_counters`)
 and the trace-event list consumed by tests and the CLI summary.
 """
 

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from repro.core.session import RunResult, Session
 from repro.lulesh.costs import DEFAULT_COSTS, KernelCosts
 from repro.obs.diff import DEFAULT_SKIP
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
 from repro.resilience.plan import ResiliencePlan
 from repro.serve.job import JobSpec
 from repro.simcore.machine import MachineConfig

@@ -263,7 +263,7 @@ class CampaignScheduler:
             record.executor_reused = reused
             discard = False
             try:
-                from repro.perf.registry import CounterRegistry
+                from repro.obs.registry import CounterRegistry
 
                 registry = CounterRegistry()
                 deadline = (

@@ -18,7 +18,7 @@ from repro.core.naive_hpx import NaiveHpxProgram
 from repro.lulesh.costs import DEFAULT_COSTS
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
 from repro.resilience.plan import ResiliencePlan
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig

@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.session import Session
 from repro.lulesh.options import LuleshOptions
+from repro.obs.registry import CounterRegistry
 from repro.openmp.runtime import OmpStats
-from repro.perf.registry import CounterRegistry
 from repro.resilience.plan import ResiliencePlan
 from repro.serve.executor import SNAPSHOT_SKIP
 from repro.simcore.costmodel import CostModel

@@ -13,8 +13,8 @@ from repro.lulesh.costs import DEFAULT_COSTS
 from repro.lulesh.domain import Domain
 from repro.lulesh.options import LuleshOptions
 from repro.lulesh.reference import SequentialDriver
+from repro.obs.registry import CounterRegistry
 from repro.openmp.runtime import OmpRuntime
-from repro.perf.registry import CounterRegistry
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 

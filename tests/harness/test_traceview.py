@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.amt.runtime import AmtRuntime
-from repro.harness.traceview import ascii_gantt, to_chrome_trace, write_chrome_trace
+from repro.obs.traceview import ascii_gantt, to_chrome_trace, write_chrome_trace
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.trace import TaskSpan

@@ -148,15 +148,14 @@ class TestInjectedSlowdownGate:
     def test_slower_run_regresses_total_time(self):
         from repro.core.driver import run_hpx
         from repro.lulesh.options import LuleshOptions
-        from repro.obs import MetricStore
-        from repro.perf.registry import CounterRegistry
+        from repro.obs.registry import CounterRegistry
 
         def snapshot(elements_partition):
             registry = CounterRegistry()
             run_hpx(LuleshOptions(nx=10, numReg=3), 8, 2,
                     registry=registry,
                     elements_partition=elements_partition)
-            return MetricStore.from_registry(registry).last_values()
+            return registry.last_values()
 
         base = snapshot(elements_partition=2048)
         # a pathological partition size slows the simulated run well past

@@ -1,109 +1,56 @@
-"""Tests for the time-series metrics store and its monotonicity checks."""
+"""Tests for the ``--metrics`` JSONL and counter-trajectory monotonicity."""
 
 import json
-import math
 
 import pytest
 
+from repro.core.driver import run_hpx
 from repro.harness.cli import main
 from repro.lulesh.options import LuleshOptions
-from repro.obs import MetricStore
-from repro.obs.metrics import MetricSeries, _percentile
-from repro.core.driver import run_hpx
-from repro.perf.registry import CounterRegistry
+from repro.obs.diff import load_metric_values, write_metrics_jsonl
+from repro.obs.registry import CounterRegistry
 
 
-class TestSeries:
-    def make(self, values):
-        s = MetricSeries("/x", unit="[1]")
-        for i, v in enumerate(values):
-            s.append(i + 1, (i + 1) * 1000, v)
-        return s
-
-    def test_append_and_last(self):
-        s = self.make([1.0, 2.0, 5.0])
-        assert len(s) == 3
-        assert s.last == 5.0
-
-    def test_empty_last_is_nan(self):
-        assert math.isnan(MetricSeries("/x").last)
-
-    def test_deltas(self):
-        assert self.make([1.0, 4.0, 2.0]).deltas() == [3.0, -2.0]
-
-    def test_monotonic_violations_flags_negative_deltas(self):
-        s = self.make([0.0, 2.0, 1.0, 1.0, 0.5])
-        assert s.monotonic_violations() == [(3, -1.0), (5, -0.5)]
-
-    def test_monotone_series_has_no_violations(self):
-        assert self.make([0.0, 0.0, 3.0, 7.0]).monotonic_violations() == []
-
-    def test_aggregate_stats(self):
-        s = self.make([1.0, 2.0, 3.0, 4.0])
-        agg = s.aggregate()
-        assert agg.n == 4
-        assert agg.min == 1.0 and agg.max == 4.0
-        assert agg.mean == 2.5
-        assert agg.p50 == 2.5
-        assert agg.last == 4.0
-        # (4 - 1) over 3000 ns of simulated time
-        assert agg.rate_per_s == pytest.approx(3.0 / (3000 / 1e9))
-
-    def test_aggregate_window(self):
-        s = self.make([10.0, 1.0, 2.0, 3.0])
-        assert s.aggregate(window=3).max == 3.0
-
-    def test_aggregate_empty(self):
-        agg = MetricSeries("/x").aggregate()
-        assert agg.n == 0
-        assert math.isnan(agg.mean)
-
-    def test_percentile_interpolates(self):
-        assert _percentile([0.0, 10.0], 0.5) == 5.0
-        assert _percentile([1.0], 0.95) == 1.0
-        assert math.isnan(_percentile([], 0.5))
+def negative_deltas(samples) -> list[tuple[int, float]]:
+    """``(interval, delta)`` of each sample that steps below its predecessor."""
+    return [
+        (b["interval"], b["value"] - a["value"])
+        for a, b in zip(samples, samples[1:])
+        if b["value"] < a["value"]
+    ]
 
 
 class TestStore:
-    def test_record_and_access(self):
-        store = MetricStore()
-        store.record("/a", 1, 100, 2.0, unit="[1]")
-        store.record("/a", 2, 200, 3.0)
-        store.record("/b", 1, 100, 0.0)
-        assert store.paths() == ["/a", "/b"]
-        assert store.series("/a").last == 3.0
-        assert store.last_values() == {"/a": 3.0, "/b": 0.0}
-
-    def test_unknown_path_raises(self):
-        with pytest.raises(KeyError, match="unknown metric"):
-            MetricStore().series("/nope")
+    """The metrics JSONL: a registry's trajectories, one line per counter."""
 
     def test_jsonl_round_trip(self, tmp_path):
-        store = MetricStore()
-        store.record("/a", 1, 100, 2.0, unit="[ns]", description="d")
-        store.record("/a", 2, 200, 4.0)
+        registry = CounterRegistry()
+        value = iter([2.0, 4.0])
+        registry.register_gauge("/a", lambda: next(value), unit="[ns]",
+                                description="d")
+        registry.record(100)
+        registry.record(200)
         out = tmp_path / "metrics.jsonl"
-        assert store.dump_jsonl(str(out)) == 1
-        header = json.loads(out.read_text().splitlines()[0])
-        assert header["schema"] == "lulesh-hpx-metrics/1"
-        back = MetricStore.load_jsonl(str(out))
-        assert back.series("/a").values == [2.0, 4.0]
-        assert back.series("/a").unit == "[ns]"
+        assert write_metrics_jsonl(str(out), registry.to_json_dict()) == 1
+        header, row = map(json.loads, out.read_text().splitlines())
+        assert header == {"schema": "lulesh-hpx-metrics/1", "n_series": 1}
+        assert [s["value"] for s in row["samples"]] == [2.0, 4.0]
+        assert row["unit"] == "[ns]"
+        assert load_metric_values(str(out)) == {"/a": 4.0}
 
-    def test_from_registry_captures_trajectories(self):
+    def test_from_registry_captures_trajectories(self, tmp_path):
         registry = CounterRegistry()
         run_hpx(LuleshOptions(nx=6, numReg=2), 4, 3, registry=registry)
-        store = MetricStore.from_registry(registry)
-        flushes = store.series("/amt/flushes")
+        out = tmp_path / "metrics.jsonl"
+        write_metrics_jsonl(str(out), registry.to_json_dict())
+        rows = {r["path"]: r["samples"]
+                for r in map(json.loads, out.read_text().splitlines()[1:])}
+        assert rows.keys() == set(registry.paths())
+        flushes = [s["value"] for s in rows["/amt/flushes"]]
         assert len(flushes) == 3  # one sample per iteration
-        assert flushes.values == sorted(flushes.values)
-        assert store.monotonic_violations() == {}
-
-    def test_aggregates_per_path(self):
-        store = MetricStore()
-        for i in range(4):
-            store.record("/a", i + 1, (i + 1) * 10, float(i))
-        assert store.aggregates()["/a"].max == 3.0
+        assert flushes == sorted(flushes)
+        violations = {p: negative_deltas(s) for p, s in rows.items()}
+        assert not any(violations.values()), violations
 
 
 class TestRollbackMonotonicity:
@@ -112,7 +59,7 @@ class TestRollbackMonotonicity:
     A checkpoint restore rewinds the *domain*, not the accounting: the
     ``/resilience/*`` and ``/graph/*`` series sampled through a
     fault-and-recover run must stay monotone non-decreasing — a negative
-    interval delta in the metrics store means a stats object was rolled
+    interval delta in the counters export means a stats object was rolled
     back along with the physics state.
     """
 
@@ -128,12 +75,12 @@ class TestRollbackMonotonicity:
             "--counters", str(out),
         ])
         assert code == 0
-        store = MetricStore.from_json_dict(json.loads(out.read_text()))
-        rollbacks = store.series("/resilience/rollbacks")
-        assert rollbacks.last >= 1.0  # the run really rolled back
+        counters = json.loads(out.read_text())["counters"]
+        rollbacks = counters["/resilience/rollbacks"]["samples"]
+        assert rollbacks[-1]["value"] >= 1.0  # the run really rolled back
         guarded = {
-            path: v
-            for path, v in store.monotonic_violations().items()
+            path: negative_deltas(entry["samples"])
+            for path, entry in counters.items()
             if path.startswith(("/resilience/", "/graph/"))
         }
-        assert guarded == {}
+        assert not any(guarded.values()), guarded

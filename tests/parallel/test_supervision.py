@@ -242,7 +242,7 @@ def test_one_plan_per_lowering():
 
 
 def test_supervision_counters_exported():
-    from repro.perf.registry import CounterRegistry
+    from repro.obs.registry import CounterRegistry
 
     registry = CounterRegistry()
     plan = ResiliencePlan(inject=("worker:0:kill@2",))

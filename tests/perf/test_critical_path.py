@@ -5,9 +5,9 @@ import pytest
 from repro.amt.runtime import AmtRuntime
 from repro.core.driver import run_hpx
 from repro.core.hpx_lulesh import HpxVariant
-from repro.harness.traceview import to_chrome_trace
 from repro.lulesh.options import LuleshOptions
-from repro.perf.critical_path import analyze_critical_path
+from repro.obs.critical_path import analyze_critical_path
+from repro.obs.traceview import to_chrome_trace
 from repro.simcore.costmodel import CostModel
 from repro.simcore.machine import MachineConfig
 from repro.simcore.trace import TaskSpan

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.driver import run_hpx
 from repro.lulesh.options import LuleshOptions
-from repro.perf.profiler import PhaseProfile, normalize_tag, percentile
+from repro.obs.profiler import PhaseProfile, normalize_tag, percentile
 from repro.simcore.trace import TaskSpan
 
 

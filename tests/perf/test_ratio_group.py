@@ -1,8 +1,8 @@
 """A registry ratio group against N separate ratio counters.
 
-:class:`~repro.perf.registry.RatioGroup` reads N ratios that share one
+:class:`~repro.obs.registry.RatioGroup` reads N ratios that share one
 denominator in one pass.  Its oracle is the same registry built with one
-:class:`~repro.perf.registry.RatioCounter` per member: every reader of
+:class:`~repro.obs.registry.RatioCounter` per member: every reader of
 the two registries must agree, through empty intervals and both clamp
 edges.
 """
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
 
 N = 3
 PATHS = [f"/threads{{worker-thread#{k}}}/idle-rate" for k in range(N)]

@@ -7,8 +7,8 @@ import pytest
 from repro.amt.runtime import AmtRuntime
 from repro.core.driver import run_hpx, run_naive_hpx, run_omp
 from repro.lulesh.options import LuleshOptions
-from repro.perf.registry import CounterRegistry, GaugeCounter, RatioCounter
-from repro.perf.sources import (
+from repro.obs.registry import CounterRegistry, GaugeCounter, RatioCounter
+from repro.obs.sources import (
     install_amt_counters,
     install_omp_counters,
     worker_thread_path,
@@ -174,8 +174,6 @@ class TestAmtSource:
         assert tasks == [8.0, 16.0, 24.0]
 
     def test_idle_rate_matches_idle_rate_counter(self):
-        from repro.amt.counters import IdleRateCounter
-
         rt = self.make_rt()
         reg = CounterRegistry()
         install_amt_counters(reg, rt)
@@ -183,7 +181,7 @@ class TestAmtSource:
             rt.async_(lambda: None, cost_ns=50_000)
         rt.flush()
         (sample,) = reg.series("/threads/idle-rate")
-        expected = IdleRateCounter(rt.stats).idle_rate() * 10_000.0
+        expected = (1 - rt.stats.utilization()) * 10_000
         assert sample.value == pytest.approx(expected, rel=1e-9)
 
     def test_sample_time_is_accumulated_runtime(self):

@@ -30,12 +30,12 @@ from repro.amt.runtime import AmtRuntime
 from repro.core import session
 from repro.core.driver import run_hpx, run_naive_hpx
 from repro.core.hpx_lulesh import HpxVariant
-from repro.harness.traceview import to_chrome_trace
 from repro.lulesh.errors import QStopError
 from repro.lulesh.options import LuleshOptions
 from repro.obs.diff import DEFAULT_SKIP
 from repro.obs.recorder import FlightRecorder
-from repro.perf.registry import CounterRegistry
+from repro.obs.registry import CounterRegistry
+from repro.obs.traceview import to_chrome_trace
 from repro.resilience.plan import ResiliencePlan
 from repro.serve import JobSpec, executor, resolve_spec
 from repro.simcore.costmodel import CostModel

@@ -204,7 +204,7 @@ class TestDriverConsultsDatabase:
     def test_run_hpx_uses_tuned_sizes(self):
         from repro.core.driver import run_hpx
         from repro.lulesh.options import LuleshOptions
-        from repro.perf.registry import CounterRegistry
+        from repro.obs.registry import CounterRegistry
 
         db = TuningDatabase()
         m = MachineConfig()

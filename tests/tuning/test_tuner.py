@@ -78,8 +78,8 @@ class TestTuner:
         assert tuned[0] in LADDER and tuned[1] in LADDER
 
     def test_registry_sampled_once_per_trial(self):
-        from repro.perf.registry import CounterRegistry
-        from repro.perf.sources import install_tuning_counters
+        from repro.obs.registry import CounterRegistry
+        from repro.obs.sources import install_tuning_counters
 
         registry = CounterRegistry()
         tuner = make_tuner(registry=registry)
